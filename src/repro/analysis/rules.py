@@ -1,7 +1,7 @@
 """The initial rule pack: this codebase's real invariants, mechanised.
 
 Every headline guarantee of the reproduction — byte-identical chaos /
-overload / trace / perf documents across CI runs — holds only while the
+overload / trace / suite documents across CI runs — holds only while the
 code never consults wall-clock time, unseeded randomness, process
 environment, or iteration orders that vary between interpreter runs,
 and while every scheduling decision flows through the deterministic

@@ -1,4 +1,4 @@
-"""The overload flood scenario behind ``repro overload`` and R3.
+"""The overload flood scenario behind the ``overload`` suite plugin and R3.
 
 One target host is flooded by N greedy principals (one per sender host)
 racing to deliver M messages each to a collector agent that registers
@@ -304,18 +304,11 @@ def run_overload(seed: int = 7, governed: bool = True,
 
 
 def run_overload_mode(seed: int = 7, mode: str = "governed") -> Dict:
-    """Run the flood under a named mode (the ``--list``/unknown-name
-    contract every scenario subcommand shares)."""
+    """Run the flood under a named mode (see :data:`MODE_NAMES`)."""
     if mode not in MODE_NAMES:
         raise ValueError(f"unknown overload mode {mode!r} "
                          f"(have {list(MODE_NAMES)})")
     return run_overload(seed=seed, governed=(mode == "governed"))
-
-
-def overload_ok(document: Dict) -> bool:
-    """The acceptance verdict: shedding smoothed the flood, it did not
-    break delivery."""
-    return document["flood"]["completion_rate"] >= COMPLETION_FLOOR
 
 
 def render_overload_json(document: Dict) -> str:

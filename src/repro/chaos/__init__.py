@@ -7,7 +7,7 @@
   watches a monitored agent's heartbeats and relaunches its last
   checkpoint when the agent goes silent;
 - :mod:`repro.chaos.scenario` — the named end-to-end chaos scenarios the
-  ``repro chaos`` CLI command runs.
+  ``chaos`` suite plugin runs.
 """
 
 from repro.chaos.engine import ChaosEngine

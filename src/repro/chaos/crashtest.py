@@ -1,10 +1,11 @@
 """Named crash-durability scenarios: journal replay under host crashes.
 
-This is the workload behind ``repro crashtest``: the chaos LAN and the
+This is the workload behind the ``crashtest`` suite plugin (``repro run
+'crashtest[scenario=...]'``): the chaos LAN and the
 mobility survey agent again, but this time the agent carries **no
 recovery kit at all** — no monitor, no checkpoint wrapper, no rear
 guard.  Before this subsystem existed, a host crash simply ate such an
-agent (the ``repro chaos --no-recovery`` baseline).  Here every host
+agent (the ``chaos[recovery=false]`` baseline).  Here every host
 runs a crash-durable store + write-ahead journal
 (:mod:`repro.durability`), so a crashed worker replays its journal on
 restart and relaunches the resident agent from its journaled arrival
@@ -23,8 +24,8 @@ Scenarios:
   row, with an aggressive snapshot cadence so compaction runs during
   the loop; the relaunch-supersede protocol must not accumulate twins.
 
-The verdict is two booleans, and ``repro crashtest`` exits non-zero
-unless **both** hold: ``exactly_once.holds`` (itinerary completed, no
+The verdict is two booleans, and the plugin's cell checks fail unless
+**both** hold: ``exactly_once.holds`` (itinerary completed, no
 site visited twice in the winning report, dedup conservation on every
 host) and ``conservation.holds`` (every agent instance ever spawned is
 accounted for — alive, completed, moved, relaunched, or dead-lettered;
@@ -92,7 +93,8 @@ TARGET_INDEX = 1
 
 
 def named_crash_plan(name: str, workers: List[str]) -> FaultPlan:
-    """The built-in plans ``repro crashtest --scenario`` accepts."""
+    """The built-in plans the ``crashtest`` plugin's ``scenario``
+    parameter accepts."""
     target = workers[TARGET_INDEX] if len(workers) > TARGET_INDEX \
         else workers[0]
     plan = FaultPlan(name=name)
@@ -243,7 +245,7 @@ def run_crashtest(seed: int = 7, scenario: str = "kill-during-migration",
         "conservation": auditor.report(),
         "durability": durability,
         # The crashed worker's journal tail: the record taxonomy in
-        # action, and the CI artifact ``--journal-dump`` writes.
+        # action, and the journal-tail CI artifact.
         "journal_sample": _journal_sample(hosts[target]),
         "stats": {
             "host_crashes": _counter_total(metrics, "host.crashes"),

@@ -1,10 +1,11 @@
 """Named partition scenarios: exactly-once delivery under split-brain.
 
-This is the workload behind ``repro partition``: the same home + workers
-LAN and mobility-wrapped survey agent as :mod:`repro.chaos.scenario`,
-but the fault plans aim squarely at the *exactly-once* machinery —
-group partitions that heal, duplicate/reorder/corrupt delivery storms,
-and asymmetric link failures that eat acks while transports get through.
+This is the workload behind the ``partition`` suite plugin: the same
+home + workers LAN and mobility-wrapped survey agent as
+:mod:`repro.chaos.scenario`, but the fault plans aim squarely at the
+*exactly-once* machinery — group partitions that heal, duplicate/
+reorder/corrupt delivery storms, and asymmetric link failures that eat
+acks while transports get through.
 
 The survey briefcase carries an :data:`~repro.core.wellknown.INCARNATION`
 stamp and the rear guard tracks it, so a split brain that produces two
@@ -15,8 +16,8 @@ the landing pads it guards.
 
 The returned document is **byte-for-byte identical** across runs with
 the same seed and scenario (everything is virtual-time and seeded);
-``repro partition`` run twice is the CI determinism check.  Its
-``exactly_once`` block is the acceptance evidence: per-host dedup
+the CI smoke suite runs every scenario twice as its determinism check.
+Its ``exactly_once`` block is the acceptance evidence: per-host dedup
 conservation (``offered == accepted + duplicates + rejected``),
 suppressed duplicate landings, tombstone refusals, and no site visited
 twice in the winning report.
@@ -81,7 +82,8 @@ SCENARIO_DESCRIPTIONS = {
 
 
 def named_partition_plan(name: str, workers: List[str]) -> FaultPlan:
-    """The built-in plans ``repro partition --scenario`` accepts."""
+    """The built-in plans the ``partition`` plugin's ``scenario``
+    parameter accepts."""
     plan = FaultPlan(name=name)
     if name == "partition-storm":
         plan.duplicate_probability = 0.25

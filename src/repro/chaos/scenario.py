@@ -1,8 +1,9 @@
 """Named chaos scenarios: the quickstart itinerary under a fault plan.
 
-This is the workload behind ``repro chaos``: a small LAN (one home host,
-three workers), a mobility-wrapped survey agent that visits every worker
-and charges a fixed slice of virtual work at each stop, and a named
+This is the workload behind the ``chaos`` suite plugin: a small LAN
+(one home host, three workers), a mobility-wrapped survey agent that
+visits every worker and charges a fixed slice of virtual work at each
+stop, and a named
 :class:`~repro.sim.faults.FaultPlan` fired against the cluster while the
 agent travels.  With recovery enabled the agent carries the full
 robustness kit — monitor wrapper with heartbeats, checkpoint wrapper,
@@ -112,7 +113,8 @@ def build_chaos_cluster(workers: int = 3
 
 
 def named_plan(name: str, workers: List[str]) -> FaultPlan:
-    """The built-in fault plans ``repro chaos --plan`` accepts.
+    """The built-in fault plans the ``chaos`` plugin's ``plan``
+    parameter accepts.
 
     - ``none``          — control run, no faults;
     - ``mid-crash``     — the second worker crashes mid-itinerary and

@@ -12,25 +12,6 @@ Commands:
 - ``bench`` — run experiment E1 under telemetry and write a
   machine-readable report (virtual-time rows + metrics snapshot +
   wall-clock) to a JSON file;
-- ``chaos`` — run the quickstart-style survey itinerary under a named
-  fault plan (host crashes, restarts, link flaps, message drops) and
-  print the survival/recovery report as canonical JSON.  The output is
-  a pure function of ``(--seed, --plan, --no-recovery)``: running the
-  command twice must produce byte-for-byte identical JSON, which CI
-  asserts;
-- ``partition`` — run the same survey itinerary under a named
-  exactly-once scenario (partition storms with duplicate/reordered/
-  corrupted deliveries, split brain with twin detection, asymmetric
-  ack loss) and print the delivery-guarantee report as canonical
-  JSON.  Exits non-zero unless the ``exactly_once.holds`` acceptance
-  block is true.  Deterministic like ``chaos``: CI runs the command
-  twice and diffs byte-for-byte;
-- ``overload`` — flood one host from N greedy principals (plus a dead
-  host and poison wire buffers) under a named governor mode
-  (``--mode governed|ungoverned``; ``--no-governor`` is the historic
-  alias) and print the shedding/backpressure/breaker report as
-  canonical JSON.  Like ``chaos``, the output is a pure function of
-  ``(--seed, --mode)`` and CI diffs two runs byte-for-byte;
 - ``suite`` — the declarative experiment-suite runner
   (``repro.suites``).  ``suite run FILE`` executes a YAML/JSON-declared
   parameter matrix over the registered scenario plugins (chaos,
@@ -38,18 +19,17 @@ Commands:
   suite document — per-cell seeds derive from the suite seed and the
   cell identity, so the document is a pure function of ``(FILE,
   --seed)`` and CI diffs two runs byte-for-byte; exits non-zero if any
-  cell's invariant checks fail.  ``suite list`` shows the plugins (or,
-  given a file, its expanded cells with derived seeds); ``suite
-  validate FILE`` checks a suite file without running it;
-- ``perf`` — run the hot-path microbenchmarks (codec decode/encode,
-  kernel dispatch, E1 end-to-end) against in-process replicas of the
-  pre-optimisation code paths and write the before/after medians to a
-  JSON file.  stdout carries only the *semantics* block — digests
-  proving the fast paths change no observable behaviour — which is a
-  pure function of ``--seed``; CI runs the command twice and diffs the
-  two stdout documents, and the command exits non-zero if the E1
-  report under the fast paths differs byte-for-byte from the
-  non-optimised path;
+  cell's invariant checks fail.  ``suite list`` shows the plugins and
+  their named variants (or, given a file, its expanded cells with
+  derived seeds); ``suite validate FILE`` checks a suite file without
+  running it;
+- ``run CELL_ID`` — run one suite cell standalone, e.g. ``repro run
+  'partition[scenario=split-brain,seed=7]'``, and print the plugin's
+  canonical document.  Parameters left out of the id take their
+  defaults; without ``seed=`` in the id the cell seed derives from
+  ``--seed`` exactly as in ``suite run``, so the output is the cell's
+  document from the suite run.  Exits 0 when the cell's checks pass, 1
+  when one fails (each failed check goes to stderr), 2 on a bad id;
 - ``report`` — run the traced quickstart itinerary and print the
   per-trace itinerary + SLO report as canonical JSON (``--json``/
   ``--html`` also write the document and a self-contained HTML
@@ -240,110 +220,37 @@ def _print_name_table(names, descriptions) -> None:
         print(f"  {name:<{width}}  {descriptions.get(name, '')}")
 
 
-def _run_named_scenario(command: str, noun: str, names, descriptions,
-                        wants_list: bool, run, render, verdict,
-                        on_document=None) -> int:
-    """The shared plumbing of the named-scenario commands (``chaos``,
-    ``partition``, ``crashtest``): ``--list`` prints the name table, an
-    unknown name exits 2 with a hint, and the rendered document's
-    ``verdict`` decides the exit code."""
-    if wants_list:
-        print(f"{command} {noun}s:")
-        _print_name_table(names, descriptions)
-        return 0
-    try:
-        document = run()
-    except ValueError as exc:
-        print(f"repro {command}: {exc}", file=sys.stderr)
-        print(f"(use `repro {command} --list` to see the {noun}s)",
-              file=sys.stderr)
-        return 2
-    print(render(document))
-    if on_document is not None:
-        failure = on_document(document)
-        if failure is not None:
-            return failure
-    return 0 if verdict(document) else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos.scenario import (PLAN_DESCRIPTIONS, PLAN_NAMES,
-                                      render_chaos_json, run_chaos)
-
-    def survived(document) -> bool:
-        agent = document["agent"]
-        return agent["sites_visited"] > 0 and not agent["timed_out"]
-
-    return _run_named_scenario(
-        "chaos", "plan", PLAN_NAMES, PLAN_DESCRIPTIONS, args.list,
-        lambda: run_chaos(seed=args.seed, plan=args.plan,
-                          recovery=not args.no_recovery),
-        render_chaos_json, survived)
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    from repro.chaos.partition import (SCENARIO_DESCRIPTIONS,
-                                       SCENARIO_NAMES,
-                                       render_partition_json,
-                                       run_partition)
-
-    return _run_named_scenario(
-        "partition", "scenario", SCENARIO_NAMES, SCENARIO_DESCRIPTIONS,
-        args.list,
-        lambda: run_partition(seed=args.seed, scenario=args.scenario),
-        render_partition_json,
-        lambda document: document["exactly_once"]["holds"])
-
-
-def _cmd_crashtest(args: argparse.Namespace) -> int:
+def _report_failures(cells, suite_seed: int) -> int:
+    """Print every failed check of ``cells`` (suite-document envelopes)
+    with its observed value, and the command that re-runs the cell on
+    its own, to stderr.  Returns the exit code: 1 if any cell failed."""
     import json
 
-    from repro.chaos.crashtest import (SCENARIO_DESCRIPTIONS,
-                                       SCENARIO_NAMES,
-                                       render_crashtest_json,
-                                       run_crashtest)
-
-    def dump_journal(document):
-        if not args.journal_dump:
-            return None
-        try:
-            with open(args.journal_dump, "w", encoding="utf-8") as handle:
-                sample = document["journal_sample"]
-                for record in sample["tail"]:
-                    handle.write(json.dumps(record, sort_keys=True))
-                    handle.write("\n")
-        except OSError as exc:
-            print(f"cannot write journal dump: {exc}", file=sys.stderr)
-            return 1
-        return None
-
-    return _run_named_scenario(
-        "crashtest", "scenario", SCENARIO_NAMES, SCENARIO_DESCRIPTIONS,
-        args.list,
-        lambda: run_crashtest(seed=args.seed, scenario=args.scenario),
-        render_crashtest_json,
-        # The acceptance gate: exactly-once AND agent conservation.
-        lambda document: (document["exactly_once"]["holds"] and
-                          document["conservation"]["holds"]),
-        on_document=dump_journal)
+    failed = [cell for cell in cells if cell["status"] == "failed"]
+    for cell in failed:
+        for check in cell["checks"]:
+            if not check["ok"]:
+                observed = json.dumps(check["value"], sort_keys=True)
+                print(f"FAILED {cell['id']}: {check['check']} "
+                      f"(observed {observed})", file=sys.stderr)
+        print(f"  reproduce: repro run '{cell['id']}' --seed {suite_seed}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
-def _cmd_overload(args: argparse.Namespace) -> int:
-    from repro.bench.overload import (MODE_DESCRIPTIONS, MODE_NAMES,
-                                      overload_ok, render_overload_json,
-                                      run_overload_mode)
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.suites import SuiteError, get_plugin, parse_cell_id, run_cell
 
-    # ``--no-governor`` predates the named-mode interface; keep it as
-    # an alias for ``--mode ungoverned``.
-    mode = "ungoverned" if args.no_governor else args.mode
-    # The flood is expected to complete even when the governor sheds:
-    # rejections are transient and the senders' retry policies absorb
-    # them.  A completion rate below the floor means backpressure broke
-    # delivery rather than smoothing it (``overload_ok``).
-    return _run_named_scenario(
-        "overload", "mode", MODE_NAMES, MODE_DESCRIPTIONS, args.list,
-        lambda: run_overload_mode(seed=args.seed, mode=mode),
-        render_overload_json, overload_ok)
+    try:
+        cell = parse_cell_id(args.cell_id)
+    except SuiteError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
+        print("(use `repro suite list` to see the plugins and their "
+              "variants)", file=sys.stderr)
+        return 2
+    envelope = run_cell(cell, args.seed)
+    print(get_plugin(cell.plugin).render(envelope["document"]))
+    return _report_failures([envelope], args.seed)
 
 
 def _default_lint_paths() -> List[str]:
@@ -442,43 +349,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench.perf import (PROFILE_DESCRIPTIONS, PROFILE_NAMES,
-                                  build_profile_document, print_medians,
-                                  render_semantics_json, semantics_ok,
-                                  write_document)
-
-    # ``--quick`` predates the named-profile interface; keep it as an
-    # alias for ``--profile quick``.
-    profile = "quick" if args.quick else args.profile
-
-    def report(document):
-        # The medians table is human-facing: keep it off stdout, which
-        # carries only the deterministic semantics JSON CI diffs.
-        print_medians(document, stream=sys.stderr)
-        if args.json_path:
-            try:
-                write_document(document, args.json_path)
-            except OSError as exc:
-                print(f"cannot write {args.json_path}: {exc}",
-                      file=sys.stderr)
-                return 1
-            print(f"wrote timings to {args.json_path}", file=sys.stderr)
-        return None
-
-    return _run_named_scenario(
-        "perf", "profile", PROFILE_NAMES, PROFILE_DESCRIPTIONS,
-        args.list,
-        lambda: build_profile_document(seed=args.seed, profile=profile,
-                                       repeats=args.repeats),
-        render_semantics_json, semantics_ok, on_document=report)
-
-
 def _cmd_suite(args: argparse.Namespace) -> int:
     from repro.suites import (SuiteError, cell_seed, get_plugin,
                               load_suite, plugin_descriptions,
-                              plugin_names, render_suite_json, run_suite,
-                              suite_ok)
+                              plugin_names, render_suite_json, run_suite)
 
     def load():
         try:
@@ -493,10 +367,15 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             _print_name_table(plugin_names(), plugin_descriptions())
             for name in plugin_names():
                 plugin = get_plugin(name)
-                variants = plugin.variants()
-                if variants:
-                    print(f"  {name} --{plugin.variant_param}: "
-                          f"{', '.join(str(v) for v in variants)}")
+                variants = [str(v) for v in plugin.variants()]
+                if not variants:
+                    continue
+                print(f"{name}[{plugin.variant_param}=...]:")
+                if plugin.variant_descriptions:
+                    _print_name_table(variants,
+                                      plugin.variant_descriptions)
+                else:
+                    print(f"  {', '.join(variants)}")
             return 0
         spec = load()
         if spec is None:
@@ -531,11 +410,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             return 1
         print(f"wrote suite document to {args.json_path}",
               file=sys.stderr)
+    code = _report_failures(document["cells"], document["seed"])
     summary = document["summary"]
     print(f"suite {spec.name!r}: {summary['passed']}/"
           f"{summary['planned']} passed, {summary['failed']} failed, "
           f"{summary['skipped']} skipped", file=sys.stderr)
-    return 0 if suite_ok(document) else 1
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,82 +483,16 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="BENCH_E1.json",
                        help="write the machine-readable report here")
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the survey itinerary under a fault plan; print JSON")
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--plan", default="mid-crash", metavar="PLAN",
-                       help="fault plan name (see --list); an unknown "
-                            "name exits 2 with the available plans")
-    chaos.add_argument("--list", action="store_true",
-                       help="list the built-in fault plans and exit")
-    chaos.add_argument("--no-recovery", action="store_true",
-                       help="drop the recovery kit (monitor/checkpoint/"
-                            "retry/rear-guard): the baseline behaviour")
-
-    partition = sub.add_parser(
-        "partition",
-        help="run the survey under an exactly-once partition scenario; "
-             "print JSON")
-    partition.add_argument("--seed", type=int, default=7)
-    partition.add_argument("--scenario", default="partition-storm",
-                           metavar="SCENARIO",
-                           help="scenario name (see --list); an unknown "
-                                "name exits 2 with the available "
-                                "scenarios")
-    partition.add_argument("--list", action="store_true",
-                           help="list the built-in scenarios and exit")
-
-    crashtest = sub.add_parser(
-        "crashtest",
-        help="run a bare agent over crash-durable hosts; exits non-zero "
-             "unless exactly-once AND agent conservation hold")
-    crashtest.add_argument("--seed", type=int, default=7)
-    crashtest.add_argument("--scenario", default="kill-during-migration",
-                           metavar="SCENARIO",
-                           help="scenario name (see --list); an unknown "
-                                "name exits 2 with the available "
-                                "scenarios")
-    crashtest.add_argument("--list", action="store_true",
-                           help="list the built-in scenarios and exit")
-    crashtest.add_argument("--journal-dump", metavar="PATH", default="",
-                           help="also write the crashed worker's journal "
-                                "tail as JSON-lines to PATH (the CI "
-                                "artifact)")
-
-    overload = sub.add_parser(
-        "overload",
-        help="flood one host under a governor mode; print JSON")
-    overload.add_argument("--seed", type=int, default=7)
-    overload.add_argument("--mode", default="governed", metavar="MODE",
-                          help="governor mode (see --list); an unknown "
-                               "name exits 2 with the available modes")
-    overload.add_argument("--list", action="store_true",
-                          help="list the governor modes and exit")
-    overload.add_argument("--no-governor", action="store_true",
-                          help="alias for --mode ungoverned (the "
-                               "baseline: unbounded queues, no quotas, "
-                               "no breakers)")
-
-    perf = sub.add_parser(
-        "perf",
-        help="hot-path microbenchmarks vs pre-optimisation baselines")
-    perf.add_argument("--seed", type=int, default=2000)
-    perf.add_argument("--repeats", type=int, default=5,
-                      help="timing samples per benchmark leg (median "
-                           "reported)")
-    perf.add_argument("--profile", default="full", metavar="PROFILE",
-                      help="workload profile (see --list); an unknown "
-                           "name exits 2 with the available profiles")
-    perf.add_argument("--list", action="store_true",
-                      help="list the workload profiles and exit")
-    perf.add_argument("--quick", action="store_true",
-                      help="alias for --profile quick (smaller "
-                           "workloads / fewer repeats: the CI smoke)")
-    perf.add_argument("--json", dest="json_path", default=None,
-                      metavar="BENCH_perf.json",
-                      help="write the full timings document here; stdout "
-                           "stays the deterministic semantics JSON")
+    run = sub.add_parser(
+        "run",
+        help="run one suite cell standalone; print its document")
+    run.add_argument("cell_id", metavar="CELL_ID",
+                     help="plugin[k=v,...] as printed by `suite list FILE` "
+                          "and in suite documents; add seed=N to pin the "
+                          "cell seed")
+    run.add_argument("--seed", type=int, default=7,
+                     help="suite seed the cell seed derives from when the "
+                          "id pins none (default 7, as in suite files)")
 
     suite = sub.add_parser(
         "suite",
@@ -761,16 +575,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_metrics(args)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "partition":
-        return _cmd_partition(args)
-    if args.command == "crashtest":
-        return _cmd_crashtest(args)
-    if args.command == "overload":
-        return _cmd_overload(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
+    if args.command == "run":
+        return _cmd_run(args)
     if args.command == "suite":
         return _cmd_suite(args)
     if args.command == "lint":

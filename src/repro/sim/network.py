@@ -8,22 +8,13 @@ for the condensed result), so it is sufficient to reproduce the shape of
 the results.
 
 Bandwidth is not shared between concurrent flows (documented limitation;
-the paper's experiment has one active transfer at a time).
+the paper's experiment has one active transfer at a time), and every
+transfer pays its own latency, even when several start on the same link
+at the same virtual instant.
 
 Links are directional pairs created symmetrically by :meth:`Network.link`.
 Every host implicitly has a loopback link to itself with near-zero cost,
 so "local" interactions are effectively free, as on a real host.
-
-**Message coalescing** (off by default; see
-:meth:`Network.configure_coalescing`): when enabled, transfers that
-start on the same directional link *at the same virtual instant* share
-a single latency charge — the first pays ``latency + n/bandwidth``,
-each subsequent same-instant transfer pays only its serialisation time
-``n/bandwidth``.  N same-instant, same-destination messages therefore
-cost one latency plus their summed bandwidth time, the classic batching
-win for chatty agent protocols.  The rule is a pure function of the
-virtual clock, so it is deterministic; with coalescing disabled
-(default) every byte-for-byte report is unchanged.
 """
 
 from __future__ import annotations
@@ -147,14 +138,6 @@ class Network:
         self.breaker_config: Optional[BreakerConfig] = None
         #: (src, dst) → breaker, created lazily per directional link.
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
-        #: Message coalescing (off by default; semantics-preserving when
-        #: off — see :meth:`configure_coalescing`).
-        self.coalescing_enabled = False
-        #: (src, dst) → virtual instant of the last transfer start, used
-        #: to detect same-instant bursts eligible for coalescing.
-        self._coalesce_marks: Dict[Tuple[str, str], float] = {}
-        #: Transfers that rode an already-paid latency window.
-        self.coalesced_messages = 0
 
     # -- topology -------------------------------------------------------------
 
@@ -265,35 +248,6 @@ class Network:
             if name in self._down_hosts:
                 raise HostDownError(f"host {name} is down")
 
-    # -- coalescing ------------------------------------------------------------
-
-    def configure_coalescing(self, enabled: bool) -> None:
-        """Enable/disable same-instant message coalescing (default off).
-
-        With coalescing on, the *first* transfer starting on a
-        directional link at virtual instant ``t`` pays the full
-        ``latency + n/bandwidth``; every further transfer starting on
-        that link at the same instant ``t`` pays only ``n/bandwidth``
-        (it rides in the already-dispatched frame).  Loopback transfers
-        never coalesce.  Decisions depend only on the virtual clock, so
-        two identical runs coalesce identically — asserted by the
-        determinism test in ``tests/test_perf_fastpaths.py``.
-        """
-        self.coalescing_enabled = bool(enabled)
-        self._coalesce_marks.clear()
-
-    def _coalesced_transfer_time(self, src: str, dst: str,
-                                 link: Link, nbytes: int) -> Tuple[float, bool]:
-        """(seconds, coalesced?) for a transfer starting now."""
-        if not self.coalescing_enabled or src == dst:
-            return link.transfer_time(nbytes), False
-        key = (src, dst)
-        now = self.kernel.now
-        if self._coalesce_marks.get(key) == now:
-            return nbytes / link.bandwidth, True
-        self._coalesce_marks[key] = now
-        return link.transfer_time(nbytes), False
-
     # -- circuit breakers ------------------------------------------------------
 
     def configure_breakers(self, config: Optional[BreakerConfig]) -> None:
@@ -392,13 +346,7 @@ class Network:
         verdict = None
         if self.fault_injector is not None and src != dst:
             verdict = self.fault_injector.verdict(src, dst, nbytes)
-        seconds, coalesced = self._coalesced_transfer_time(
-            src, dst, link, nbytes)
-        if coalesced:
-            self.coalesced_messages += 1
-            telemetry = self.kernel.telemetry
-            if telemetry.enabled:
-                telemetry.metrics.inc("net.coalesced", src=src, dst=dst)
+        seconds = link.transfer_time(nbytes)
         span = self.kernel.telemetry.tracer.begin(
             "net.transfer", category="net", track=f"net:{src}->{dst}",
             bytes=nbytes)

@@ -1,13 +1,11 @@
-"""The built-in scenario plugins: every bespoke driver, registered.
+"""The built-in scenario plugins: every scenario driver, registered.
 
-This module is the refactor that retires the six bespoke entrypoints:
 ``run_chaos`` / ``run_partition`` / ``run_crashtest`` / ``run_overload``
-and the paper-experiment drivers all become registered
+and the paper-experiment drivers are all registered
 :class:`~repro.suites.registry.ScenarioPlugin`\\ s sharing one result
-envelope, so the matrix runner (and any future harness) composes them
-uniformly.  The CLI subcommands (``repro chaos`` …) keep working and
-keep their exact output — they now merely exercise the same drivers the
-plugins wrap.
+envelope, so the matrix runner composes them uniformly.  The plugins
+are also the only command-line entry to the scenarios: ``repro suite
+run FILE`` runs a matrix of cells, ``repro run '<cell-id>'`` runs one.
 
 Each plugin declares its parameter domain (the matrix axes: named fault
 plan / scenario / mode, topology ``workers``, governor mode) and its
@@ -17,90 +15,45 @@ the returned document to decide the cell verdict.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+import json
+from typing import Any, Dict
 
+from repro.bench import experiments, overload
+from repro.bench.runner import report_to_dict
+from repro.chaos import crashtest, partition
+from repro.chaos import scenario as chaos
 from repro.suites.registry import (ParamSpec, ScenarioPlugin,
                                    register_plugin)
 
 
 def _run_chaos(seed: int, plan: str, recovery: bool,
                workers: int) -> Dict[str, Any]:
-    from repro.chaos.scenario import run_chaos
-    return run_chaos(seed=seed, plan=plan, recovery=recovery,
-                     workers=workers)
-
-
-def _render_chaos(document: Dict[str, Any]) -> str:
-    from repro.chaos.scenario import render_chaos_json
-    return render_chaos_json(document)
+    return chaos.run_chaos(seed=seed, plan=plan, recovery=recovery,
+                           workers=workers)
 
 
 def _run_partition(seed: int, scenario: str, workers: int) -> Dict[str, Any]:
-    from repro.chaos.partition import run_partition
-    return run_partition(seed=seed, scenario=scenario, workers=workers)
-
-
-def _render_partition(document: Dict[str, Any]) -> str:
-    from repro.chaos.partition import render_partition_json
-    return render_partition_json(document)
+    return partition.run_partition(seed=seed, scenario=scenario,
+                                   workers=workers)
 
 
 def _run_crashtest(seed: int, scenario: str, workers: int) -> Dict[str, Any]:
-    from repro.chaos.crashtest import run_crashtest
-    return run_crashtest(seed=seed, scenario=scenario, workers=workers)
-
-
-def _render_crashtest(document: Dict[str, Any]) -> str:
-    from repro.chaos.crashtest import render_crashtest_json
-    return render_crashtest_json(document)
+    return crashtest.run_crashtest(seed=seed, scenario=scenario,
+                                   workers=workers)
 
 
 def _run_overload(seed: int, mode: str) -> Dict[str, Any]:
-    from repro.bench.overload import run_overload_mode
-    return run_overload_mode(seed=seed, mode=mode)
-
-
-def _render_overload(document: Dict[str, Any]) -> str:
-    from repro.bench.overload import render_overload_json
-    return render_overload_json(document)
+    return overload.run_overload_mode(seed=seed, mode=mode)
 
 
 def _run_experiment(seed: int, id: str) -> Dict[str, Any]:
-    from repro.bench.experiments import SEEDED_EXPERIMENTS, run_experiment
-    from repro.bench.runner import report_to_dict
     kwargs: Dict[str, int] = \
-        {"seed": seed} if id in SEEDED_EXPERIMENTS else {}
-    return report_to_dict(run_experiment(id, **kwargs))
+        {"seed": seed} if id in experiments.SEEDED_EXPERIMENTS else {}
+    return report_to_dict(experiments.run_experiment(id, **kwargs))
 
 
 def _render_experiment(document: Dict[str, Any]) -> str:
-    import json
     return json.dumps(document, sort_keys=True, indent=2)
-
-
-def _experiment_ids() -> Tuple[str, ...]:
-    from repro.bench.experiments import EXPERIMENTS
-    return tuple(sorted(EXPERIMENTS))
-
-
-def _chaos_plans() -> Tuple[str, ...]:
-    from repro.chaos.scenario import PLAN_NAMES
-    return tuple(PLAN_NAMES)
-
-
-def _partition_scenarios() -> Tuple[str, ...]:
-    from repro.chaos.partition import SCENARIO_NAMES
-    return tuple(SCENARIO_NAMES)
-
-
-def _crashtest_scenarios() -> Tuple[str, ...]:
-    from repro.chaos.crashtest import SCENARIO_NAMES
-    return tuple(SCENARIO_NAMES)
-
-
-def _overload_modes() -> Tuple[str, ...]:
-    from repro.bench.overload import MODE_NAMES
-    return tuple(MODE_NAMES)
 
 
 register_plugin(ScenarioPlugin(
@@ -108,9 +61,9 @@ register_plugin(ScenarioPlugin(
     description="the survey itinerary under a named fault plan "
                 "(crashes, restarts, link flaps)",
     run=_run_chaos,
-    render=_render_chaos,
+    render=chaos.render_chaos_json,
     params={
-        "plan": ParamSpec("mid-crash", str, _chaos_plans(),
+        "plan": ParamSpec("mid-crash", str, chaos.PLAN_NAMES,
                           "fault plan name"),
         "recovery": ParamSpec(True, bool,
                               help="carry the recovery kit (monitor/"
@@ -120,6 +73,7 @@ register_plugin(ScenarioPlugin(
     # The agent reported at least one site and was not silently lost.
     checks=("agent.sites_visited>=1", "!agent.timed_out"),
     variant_param="plan",
+    variant_descriptions=chaos.PLAN_DESCRIPTIONS,
 ))
 
 register_plugin(ScenarioPlugin(
@@ -127,14 +81,15 @@ register_plugin(ScenarioPlugin(
     description="exactly-once delivery under partition storms, "
                 "split brain and asymmetric ack loss",
     run=_run_partition,
-    render=_render_partition,
+    render=partition.render_partition_json,
     params={
         "scenario": ParamSpec("partition-storm", str,
-                              _partition_scenarios(), "scenario name"),
+                              partition.SCENARIO_NAMES, "scenario name"),
         "workers": ParamSpec(3, int, help="worker-host count (topology)"),
     },
     checks=("exactly_once.holds",),
     variant_param="scenario",
+    variant_descriptions=partition.SCENARIO_DESCRIPTIONS,
 ))
 
 register_plugin(ScenarioPlugin(
@@ -142,14 +97,15 @@ register_plugin(ScenarioPlugin(
     description="journal replay resurrects bare agents through host "
                 "crashes, torn tails and crash loops",
     run=_run_crashtest,
-    render=_render_crashtest,
+    render=crashtest.render_crashtest_json,
     params={
         "scenario": ParamSpec("kill-during-migration", str,
-                              _crashtest_scenarios(), "scenario name"),
+                              crashtest.SCENARIO_NAMES, "scenario name"),
         "workers": ParamSpec(3, int, help="worker-host count (topology)"),
     },
     checks=("exactly_once.holds", "conservation.holds"),
     variant_param="scenario",
+    variant_descriptions=crashtest.SCENARIO_DESCRIPTIONS,
 ))
 
 register_plugin(ScenarioPlugin(
@@ -157,13 +113,15 @@ register_plugin(ScenarioPlugin(
     description="N greedy principals flood one host with or without "
                 "the firewall governor (the governor-config axis)",
     run=_run_overload,
-    render=_render_overload,
+    render=overload.render_overload_json,
     params={
-        "mode": ParamSpec("governed", str, _overload_modes(),
+        "mode": ParamSpec("governed", str, overload.MODE_NAMES,
                           "governed or ungoverned"),
     },
-    checks=("flood.completion_rate>=0.9",),
+    # Shedding must smooth the flood, not break delivery.
+    checks=(f"flood.completion_rate>={overload.COMPLETION_FLOOR}",),
     variant_param="mode",
+    variant_descriptions=overload.MODE_DESCRIPTIONS,
 ))
 
 register_plugin(ScenarioPlugin(
@@ -173,7 +131,8 @@ register_plugin(ScenarioPlugin(
     run=_run_experiment,
     render=_render_experiment,
     params={
-        "id": ParamSpec("E1", str, _experiment_ids(), "experiment id"),
+        "id": ParamSpec("E1", str, tuple(sorted(experiments.EXPERIMENTS)),
+                        "experiment id"),
     },
     checks=("reproduced",),
     variant_param="id",

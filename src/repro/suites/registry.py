@@ -6,8 +6,8 @@ is registered here as a :class:`ScenarioPlugin`: a named, parameterised
 driver that takes one integer seed plus validated keyword parameters
 and returns a canonical JSON-able document.  The suite matrix runner
 (:mod:`repro.suites.runner`) composes cells entirely out of plugins, so
-a new workload becomes *config plus one registration* instead of a new
-bespoke CLI subcommand.
+a new workload becomes *config plus one registration*, runnable as a
+suite cell or standalone with ``repro run '<cell-id>'``.
 
 Contracts every plugin must honour (recorded in
 ``docs/experiments.md`` and regression-tested in
@@ -52,8 +52,8 @@ class ParamSpec:
     """One allowed parameter of a plugin.
 
     ``choices`` (when given) enumerates the legal values — the
-    *variant* axis a ``--list`` style listing shows; ``kind`` is the
-    required Python type of a supplied value.
+    *variant* axis ``repro suite list`` shows; ``kind`` is the required
+    Python type of a supplied value.
     """
 
     default: object
@@ -87,7 +87,8 @@ class ScenarioPlugin:
     default invariant expressions the matrix runner evaluates against
     the document (see :func:`repro.suites.runner.evaluate_check`);
     ``variant_param`` names the parameter that distinguishes the
-    plugin's named variants in listings.
+    plugin's named variants in listings, and ``variant_descriptions``
+    gives each variant its one-line description there.
     """
 
     name: str
@@ -98,6 +99,8 @@ class ScenarioPlugin:
         field(default_factory=dict)
     checks: Tuple[str, ...] = ()
     variant_param: Optional[str] = None
+    variant_descriptions: Mapping[str, str] = \
+        field(default_factory=dict)
 
     def variants(self) -> Tuple[object, ...]:
         """The named variants (choices of ``variant_param``), if any."""

@@ -211,7 +211,3 @@ def run_suite(spec: SuiteSpec, seed: Optional[int] = None,
 def render_suite_json(document: Dict[str, Any]) -> str:
     """Canonical serialisation of a suite document (CI diffs this)."""
     return json.dumps(document, sort_keys=True, indent=2)
-
-
-def suite_ok(document: Dict[str, Any]) -> bool:
-    return bool(document["summary"]["ok"])

@@ -117,9 +117,8 @@ def _validate_scalar(source: str, where: str, value: object) -> object:
                 f"{type(value).__name__}")
 
 
-def _parse_entry(source: str, index: int, entry: object
+def _parse_entry(source: str, where: str, entry: object
                  ) -> List[CellSpec]:
-    where = f"cells[{index}]"
     if not isinstance(entry, dict):
         raise _fail(source, where, "each cell entry must be a mapping")
     unknown = set(entry) - _ENTRY_KEYS
@@ -232,10 +231,47 @@ def parse_suite(data: object, source: str = "<memory>") -> SuiteSpec:
                     "'cells' must be a non-empty list")
     cells: List[CellSpec] = []
     for index, entry in enumerate(entries):
-        cells.extend(_parse_entry(source, index, entry))
+        cells.extend(_parse_entry(source, f"cells[{index}]", entry))
     return SuiteSpec(name=name, description=description, seed=seed,
                      early_stop=early_stop, cells=tuple(cells),
                      source=source)
+
+
+def parse_cell_id(cell_id: str) -> CellSpec:
+    """Parse a canonical cell id ``plugin[k=v,...,seed=S]`` back into
+    the :class:`CellSpec` it names, with the plugin's default checks.
+
+    The inverse of :attr:`CellSpec.cell_id`: a string value is taken as
+    written, any other value (and ``seed``) is read as the JSON literal
+    the id renders it as, and the entry is then validated exactly like
+    a suite-file cell.  Omitted parameters take their defaults, so
+    ``parse_cell_id(cell.cell_id).cell_id == cell.cell_id``.
+    """
+    plugin_name, bracket, body = cell_id.partition("[")
+    if not plugin_name or not bracket or not body.endswith("]"):
+        raise _fail("cell id", repr(cell_id),
+                    "expected the form plugin[k=v,...]")
+    plugin = get_plugin(plugin_name)  # raises UnknownPluginError
+    params: Dict[str, object] = {}
+    for item in body[:-1].split(",") if body != "]" else ():
+        name, equals, text = item.partition("=")
+        if not name or not equals:
+            raise _fail("cell id", repr(cell_id),
+                        f"expected k=v, got {item!r}")
+        if name in params:
+            raise _fail("cell id", repr(cell_id),
+                        f"parameter {name!r} given twice")
+        spec = plugin.params.get(name)
+        if spec is not None and spec.kind is str:
+            params[name] = text
+            continue
+        try:
+            params[name] = json.loads(text)
+        except json.JSONDecodeError:
+            params[name] = text  # not a literal: validation rejects it
+    (cell,) = _parse_entry("cell id", repr(cell_id),
+                           {"plugin": plugin_name, "params": params})
+    return cell
 
 
 def _decode(text: str, path: str) -> object:

@@ -222,11 +222,8 @@ class TestDecodeLimitsNone:
     def test_both_decoders_honour_limits_none(self):
         briefcase = Briefcase({"BULK": [b"x"] * 50})
         wire = codec.encode(briefcase)
-        previous = codec.set_fast_paths(False)
-        try:
-            reference = codec.decode(wire, limits=None)
-            codec.set_fast_paths(True)
-            fast = codec.decode(wire, limits=None)
-        finally:
-            codec.set_fast_paths(previous)
+        from tests.codec_oracle import decode_reference
+
+        reference = decode_reference(wire, limits=None)
+        fast = codec.decode(wire, limits=None)
         assert reference == fast == briefcase

@@ -1,10 +1,10 @@
-"""End-to-end crash durability: the ``repro crashtest`` scenarios.
+"""End-to-end crash durability: the ``crashtest`` suite-plugin scenarios.
 
 The headline acceptance claim lives here: an **un-checkpointed** agent
 resident on a crashing host — no monitor wrapper, no checkpoint
 wrapper, no rear guard — survives the crash because the host's
 write-ahead journal replays it back to life.  Before the durability
-subsystem that agent was simply gone (the ``repro chaos --no-recovery``
+subsystem that agent was simply gone (the ``chaos[recovery=false]``
 baseline).
 
 Also here: the crash-at-any-point property test.  A crash can truncate

@@ -2,7 +2,7 @@
 
 The receiver-side machinery (:mod:`repro.firewall.dedup`), the landing
 handshake in the VMs, the tombstone/kill admin surface, and the
-``repro partition`` acceptance scenarios built on top of them.
+``partition`` suite-plugin acceptance scenarios built on top of them.
 """
 
 import pytest
@@ -579,18 +579,21 @@ class TestPartitionScenarios:
 class TestCli:
     def test_partition_list(self, capsys):
         from repro.cli import main
-        assert main(["partition", "--list"]) == 0
+        assert main(["suite", "list"]) == 0
         out = capsys.readouterr().out
+        assert "partition[scenario=...]" in out
         assert "partition-storm" in out and "asym-ack-loss" in out
 
     def test_chaos_list(self, capsys):
         from repro.cli import main
-        assert main(["chaos", "--list"]) == 0
+        assert main(["suite", "list"]) == 0
         assert "flaky-links" in capsys.readouterr().out
 
     def test_unknown_names_exit_2_with_hint(self, capsys):
         from repro.cli import main
-        assert main(["partition", "--scenario", "bogus"]) == 2
-        assert "--list" in capsys.readouterr().err
-        assert main(["chaos", "--plan", "bogus"]) == 2
-        assert "--list" in capsys.readouterr().err
+        assert main(["run", "partition[scenario=bogus]"]) == 2
+        err = capsys.readouterr().err
+        assert "asym-ack-loss" in err and "suite list" in err
+        assert main(["run", "chaos[plan=bogus]"]) == 2
+        err = capsys.readouterr().err
+        assert "flaky-links" in err and "suite list" in err

@@ -1,6 +1,6 @@
 """The crash-durability subsystem: disk, journal, auditor, replay fold.
 
-These are the unit layers under ``repro crashtest`` (see
+These are the unit layers under the ``crashtest`` scenarios (see
 ``tests/test_crashtest.py`` for the end-to-end scenarios): the virtual
 disk's fsync/crash semantics including the seeded storage faults, the
 WAL framing and its torn-tail contract, segment compaction, the durable

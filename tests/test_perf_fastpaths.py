@@ -1,5 +1,5 @@
-"""Tests for the hot-path optimisations: fast decoder vs reference,
-briefcase encoding cache, wire coalescing, and the perf harness."""
+"""Tests for the codec hot paths: the production decoder against the
+cursor-based oracle, and the briefcase encoding cache."""
 
 import struct
 
@@ -8,29 +8,25 @@ import pytest
 from repro.core import codec
 from repro.core.briefcase import Briefcase
 from repro.core.errors import CodecError
-from repro.sim.eventloop import Kernel
-from repro.sim.network import Network
+from tests.codec_oracle import decode_reference
 
 
 @pytest.fixture
 def both_decoders():
-    """Yields a helper that runs decode under both regimes and asserts
-    they agree (same briefcase, or same error type and message)."""
-    def run(data, limits=codec.DEFAULT_WIRE_LIMITS
-            if hasattr(codec, "DEFAULT_WIRE_LIMITS") else None):
+    """Yields a helper that runs production ``decode`` and the oracle
+    on the same input and asserts they agree (same briefcase, or same
+    error type and message)."""
+    def run(data):
         results = {}
-        for enabled in (False, True):
-            previous = codec.set_fast_paths(enabled)
+        for name, decoder in (("oracle", decode_reference),
+                              ("decode", codec.decode)):
             try:
-                try:
-                    results[enabled] = ("ok", codec.decode(data))
-                except CodecError as exc:
-                    results[enabled] = ("err", type(exc), str(exc))
-            finally:
-                codec.set_fast_paths(previous)
-        assert results[False] == results[True], (
+                results[name] = ("ok", decoder(data))
+            except CodecError as exc:
+                results[name] = ("err", type(exc), str(exc))
+        assert results["oracle"] == results["decode"], (
             f"decoders disagree on {data!r}: {results}")
-        return results[True]
+        return results["decode"]
     return run
 
 
@@ -109,12 +105,6 @@ class TestDecoderEquivalence:
 
 
 class TestEncodingCache:
-    def setup_method(self):
-        self._previous = codec.set_fast_paths(True)
-
-    def teardown_method(self):
-        codec.set_fast_paths(self._previous)
-
     def test_repeat_encode_returns_cached_object(self):
         briefcase = Briefcase({"F": [b"x", b"y"]})
         first = codec.encode(briefcase)
@@ -160,14 +150,12 @@ class TestEncodingCache:
         assert codec.encode(briefcase) != wire
 
     def test_fast_paths_off_bypasses_cache(self):
+        # The uncached encoder materialises a fresh image every call and
+        # never touches the briefcase's cache.
         briefcase = Briefcase({"F": [b"x"]})
-        previous = codec.set_fast_paths(False)
-        try:
-            first = codec.encode(briefcase)
-            second = codec.encode(briefcase)
-        finally:
-            codec.set_fast_paths(previous)
-        assert first == second
+        first = codec._encode_parts(briefcase)
+        second = codec._encode_parts(briefcase)
+        assert first == second == codec.encode(Briefcase({"F": [b"x"]}))
         assert first is not second
         assert briefcase._wire_bytes is None
 
@@ -178,153 +166,3 @@ class TestEncodingCache:
         size = codec.check_briefcase(briefcase, WireLimits())
         assert briefcase._wire_cached_size() == size
         assert codec.encoded_size(briefcase) == size
-
-
-class TestCoalescing:
-    def make(self, latency=0.05, bandwidth=1000.0):
-        kernel = Kernel()
-        network = Network(kernel)
-        network.link("a", "b", latency=latency, bandwidth=bandwidth)
-        return kernel, network
-
-    def run_burst(self, kernel, network, sizes, src="a", dst="b"):
-        durations = []
-
-        def sender(n):
-            seconds = yield from network.transfer(src, dst, n)
-            durations.append(round(seconds, 9))
-
-        for size in sizes:
-            kernel.spawn(sender(size))
-        kernel.run()
-        return durations
-
-    def test_off_by_default_and_semantics_preserving(self):
-        kernel, network = self.make()
-        durations = self.run_burst(kernel, network, [100, 100, 100])
-        assert durations == [0.15, 0.15, 0.15]
-        assert network.coalesced_messages == 0
-
-    def test_same_instant_burst_pays_one_latency(self):
-        kernel, network = self.make()
-        network.configure_coalescing(True)
-        durations = self.run_burst(kernel, network, [100, 100, 100])
-        # One message pays latency + serialisation; followers only
-        # serialise, so they complete first.
-        assert durations == [0.1, 0.1, 0.15]
-        assert network.coalesced_messages == 2
-        stats = network.stats_between("a", "b")
-        assert stats.busy_seconds == pytest.approx(0.05 + 3 * 0.1)
-        assert stats.messages == 3
-        assert stats.payload_bytes == 300
-
-    def test_different_instants_do_not_coalesce(self):
-        kernel, network = self.make()
-        network.configure_coalescing(True)
-
-        def staggered():
-            yield from network.transfer("a", "b", 100)
-            yield from network.transfer("a", "b", 100)
-        kernel.run_process(staggered())
-        assert network.coalesced_messages == 0
-
-    def test_opposite_directions_do_not_coalesce(self):
-        kernel, network = self.make()
-        network.configure_coalescing(True)
-        sent = []
-
-        def one(src, dst):
-            seconds = yield from network.transfer(src, dst, 100)
-            sent.append(round(seconds, 9))
-
-        kernel.spawn(one("a", "b"))
-        kernel.spawn(one("b", "a"))
-        kernel.run()
-        assert sent == [0.15, 0.15]
-        assert network.coalesced_messages == 0
-
-    def test_loopback_never_coalesces(self):
-        kernel, network = self.make()
-        network.add_host("a")
-        network.configure_coalescing(True)
-        durations = self.run_burst(kernel, network, [100, 100],
-                                   src="a", dst="a")
-        assert durations[0] == durations[1]
-        assert network.coalesced_messages == 0
-
-    def test_disable_clears_marks(self):
-        kernel, network = self.make()
-        network.configure_coalescing(True)
-        self.run_burst(kernel, network, [100, 100])
-        assert network._coalesce_marks
-        network.configure_coalescing(False)
-        assert not network._coalesce_marks
-        assert not network.coalescing_enabled
-
-    def test_deterministic_across_identical_runs(self):
-        def once():
-            kernel, network = self.make()
-            network.configure_coalescing(True)
-            durations = self.run_burst(kernel, network,
-                                       [100, 300, 50, 700, 200])
-            stats = network.stats_between("a", "b")
-            return (durations, network.coalesced_messages,
-                    round(stats.busy_seconds, 9))
-        assert once() == once()
-
-
-class TestPerfHarness:
-    def test_fast_paths_context_restores_state(self):
-        from repro.bench import perf
-        from repro.sim import eventloop
-
-        codec_before = codec.fast_paths_enabled()
-        kernel_before = eventloop.fast_dispatch_enabled()
-        with perf.fast_paths(not codec_before):
-            assert codec.fast_paths_enabled() is (not codec_before)
-        assert codec.fast_paths_enabled() is codec_before
-        assert eventloop.fast_dispatch_enabled() is kernel_before
-
-    def test_baseline_kernel_replica_matches_real_kernel(self):
-        from repro.bench import perf
-
-        delays = perf._timer_delays(500, seed=7)
-        replica = perf._BaselineKernel()
-        for delay in delays:
-            replica.timeout(delay)
-        replica.run()
-        kernel = Kernel()
-        for delay in delays:
-            kernel.timeout(delay)
-        kernel.run()
-        assert replica.processed_events == kernel.processed_events == 500
-        assert replica.now == kernel.now
-
-    def test_bench_pair_reports_medians_and_speedup(self):
-        from repro.bench.perf import _bench_pair
-
-        row = _bench_pair("demo", lambda: 0.2, lambda: 0.1,
-                          repeats=3, workload={"n": 1})
-        assert row["baseline_median_s"] == pytest.approx(0.2)
-        assert row["fast_median_s"] == pytest.approx(0.1)
-        assert row["speedup"] == pytest.approx(2.0)
-
-    def test_coalescing_digest_is_stable(self):
-        from repro.bench.perf import _coalescing_determinism_digest
-
-        first = _coalescing_determinism_digest()
-        assert len(first) == 64
-        assert _coalescing_determinism_digest() == first
-
-    def test_codec_workload_round_trips_identically_both_paths(self):
-        from repro.bench import perf
-
-        briefcase = perf.make_codec_workload(folders=6, elements=6,
-                                             element_size=16)
-        with perf.fast_paths(False):
-            wire = codec.encode(briefcase)
-            reference = codec.decode(wire)
-        with perf.fast_paths(True):
-            fast = codec.decode(wire)
-            assert codec.encode(fast) == wire
-        assert fast == reference == briefcase

@@ -3,8 +3,9 @@
 Two invariants underwrite the hot-path work:
 
 1. Round-trip byte identity: for any briefcase, ``encode`` produces the
-   same bytes regardless of which decoder (fast or reference) built the
-   briefcase, and ``decode(encode(b)) == b`` through both paths.
+   same bytes regardless of which decoder (production or the
+   ``tests/codec_oracle.py`` reference) built the briefcase, and
+   ``decode(encode(b)) == b`` through both.
 2. Cache soundness: every mutating ``Folder`` / ``Briefcase`` operation
    invalidates the cached encoding, so ``encode`` never serves stale
    bytes.
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core import codec  # noqa: E402
 from repro.core.briefcase import Briefcase  # noqa: E402
+from tests.codec_oracle import decode_reference  # noqa: E402
 
 folder_names = st.text(
     alphabet=string.ascii_letters + string.digits + "-_.",
@@ -33,28 +35,13 @@ briefcases = st.dictionaries(
 ).map(Briefcase.from_dict)
 
 
-@pytest.fixture(autouse=True)
-def _fast_paths_on():
-    previous = codec.set_fast_paths(True)
-    yield
-    codec.set_fast_paths(previous)
-
-
-def reference_decode(data):
-    previous = codec.set_fast_paths(False)
-    try:
-        return codec.decode(data)
-    finally:
-        codec.set_fast_paths(previous)
-
-
 class TestRoundTripByteIdentity:
     @given(briefcase=briefcases)
     @settings(max_examples=150, deadline=None)
     def test_encode_decode_round_trip_both_paths(self, briefcase):
         wire = codec.encode(briefcase)
         fast = codec.decode(wire)
-        reference = reference_decode(wire)
+        reference = decode_reference(wire)
         assert fast == reference == briefcase
         # Re-encoding either decode result reproduces the input bytes.
         assert codec.encode(fast) == wire
@@ -115,7 +102,7 @@ class TestCacheInvalidation:
         # fresh bytes reproduces the briefcase exactly.
         assert codec.decode(after) == briefcase
         assert codec.encoded_size(briefcase) == len(after)
-        assert reference_decode(after) == briefcase
+        assert decode_reference(after) == briefcase
         if after == before:
             # A mutation may restore the identical logical state (e.g.
             # replace on a folder that already held that value); bytes

@@ -477,10 +477,12 @@ class TestSlotsAndFastDrain:
                 _ = obj.__dict__
 
     def test_fast_and_slow_dispatch_agree_on_mixed_workload(self):
-        from repro.sim import eventloop
+        from repro.obs.telemetry import Telemetry
 
-        def build_and_run():
-            kernel = Kernel()
+        # A telemetry-enabled kernel dispatches every event through the
+        # per-event step(); a default kernel takes the inlined drain.
+        def build_and_run(telemetry):
+            kernel = Kernel(telemetry=telemetry)
             fired = []
 
             def worker(tag, delays):
@@ -499,13 +501,8 @@ class TestSlotsAndFastDrain:
             kernel.run()
             return fired, kernel.now, kernel.processed_events
 
-        previous = eventloop.set_fast_dispatch(True)
-        try:
-            fast = build_and_run()
-            eventloop.set_fast_dispatch(False)
-            slow = build_and_run()
-        finally:
-            eventloop.set_fast_dispatch(previous)
+        fast = build_and_run(None)
+        slow = build_and_run(Telemetry(enabled=True))
         assert fast == slow
 
     def test_drain_survives_batch_growth_past_threshold(self):

@@ -144,3 +144,21 @@ class TestTransfer:
         lan.charge("a", "b", 1000)
         assert lan.stats_between("a", "b").busy_seconds == \
             pytest.approx(2.002)
+
+    def test_same_instant_transfers_each_pay_latency(self, kernel, lan):
+        # Transfers that start together on one link (or in opposite
+        # directions) are not batched: each pays latency plus its own
+        # serialisation, and each is charged to the link stats.
+        durations = []
+
+        def sender(src, dst):
+            seconds = yield from lan.transfer(src, dst, 100)
+            durations.append(round(seconds, 9))
+
+        for src, dst in (("a", "b"), ("a", "b"), ("a", "b"), ("b", "a")):
+            kernel.spawn(sender(src, dst))
+        kernel.run()
+        assert durations == [0.101] * 4
+        stats = lan.stats_between("a", "b")
+        assert stats.messages == 3 and stats.payload_bytes == 300
+        assert stats.busy_seconds == pytest.approx(3 * 0.101)

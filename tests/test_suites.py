@@ -7,8 +7,9 @@ this layer exists to pin down:
 - ad-hoc seed plumbing (``seed + index`` arithmetic) coupling cells
   that must be independent — seeds now derive from names
   (:func:`repro.sim.rng.derive_seed` / :func:`~repro.sim.rng.retry_stream`);
-- the scenario subcommands diverging on ``--list``/unknown-name/exit
-  codes — ``overload`` and ``perf`` now share ``_run_named_scenario``.
+- the scenario entry points diverging on listings, unknown names and
+  exit codes — every scenario now runs through ``repro suite run`` or
+  ``repro run '<cell-id>'``, with one listing (``repro suite list``).
 """
 
 import json
@@ -21,8 +22,9 @@ from repro.sim.rng import RandomStream, derive_seed, retry_stream
 from repro.suites import (CellSpec, SuiteConfigError, SuiteError,
                           UnknownPluginError, cell_seed, document_digest,
                           evaluate_check, get_plugin, load_suite,
-                          parse_check, parse_suite, plugin_names,
-                          render_suite_json, run_cell, run_suite)
+                          parse_cell_id, parse_check, parse_suite,
+                          plugin_names, render_suite_json, run_cell,
+                          run_suite)
 
 
 def make_suite(cells, **overrides):
@@ -126,6 +128,50 @@ def test_explicit_seed_param_pins_the_cell_seed():
     }])
     assert [cell_seed(spec.seed, c) for c in spec.cells] == [7, 11]
     assert spec.cells[0].cell_id.endswith(",seed=7]")
+
+
+@pytest.mark.parametrize("pinned", [False, True],
+                         ids=["derived-seed", "pinned-seed"])
+@pytest.mark.parametrize("name", ["chaos", "crashtest", "experiment",
+                                  "overload", "partition"])
+def test_cell_id_parses_back_to_its_cell(name, pinned):
+    plugin = get_plugin(name)
+    matrix = {plugin.variant_param: list(plugin.variants())}
+    if pinned:
+        matrix["seed"] = [7, 2000]
+    spec = make_suite([{"plugin": name, "matrix": matrix}])
+    assert len(spec.cells) == len(plugin.variants()) * (2 if pinned else 1)
+    for cell in spec.cells:
+        parsed = parse_cell_id(cell.cell_id)
+        assert parsed.cell_id == cell.cell_id
+        assert parsed == cell
+
+
+def test_cell_id_parse_types_values_and_fills_defaults():
+    cell = parse_cell_id("chaos[recovery=false,workers=4,seed=11]")
+    assert cell.params_dict() == {"plan": "mid-crash", "recovery": False,
+                                  "workers": 4}
+    assert cell.explicit_seed == 11
+    assert cell.checks == get_plugin("chaos").checks
+    assert parse_cell_id("chaos[]") == make_suite(
+        [{"plugin": "chaos"}]).cells[0]
+
+
+@pytest.mark.parametrize("cell_id, error, match", [
+    ("bogus[x=1]", UnknownPluginError, "bogus"),
+    ("chaos[x=1]", SuiteConfigError, "no parameter 'x'"),
+    ("chaos[plan=bogus]", SuiteConfigError, "one of"),
+    ("chaos[workers=true]", SuiteConfigError, "must be an int"),
+    ("chaos[recovery=yes]", SuiteConfigError, "must be bool"),
+    ("chaos[seed=x]", SuiteConfigError, "'seed' must be an int"),
+    ("chaos[plan=none,plan=none]", SuiteConfigError, "given twice"),
+    ("chaos[plan]", SuiteConfigError, "expected k=v"),
+    ("chaos", SuiteConfigError, "plugin\\[k=v"),
+    ("chaos[plan=none", SuiteConfigError, "plugin\\[k=v"),
+])
+def test_cell_id_parse_rejects_bad_ids(cell_id, error, match):
+    with pytest.raises(error, match=match):
+        parse_cell_id(cell_id)
 
 
 def test_yaml_and_json_files_load_identically(tmp_path):
@@ -312,17 +358,12 @@ def run_cli(argv, capsys):
 
 
 def test_cli_overload_list_and_unknown(capsys):
-    code, out, _ = run_cli(["overload", "--list"], capsys)
-    assert code == 0 and "governed" in out and "ungoverned" in out
-    code, _, err = run_cli(["overload", "--mode", "bogus"], capsys)
-    assert code == 2 and "--list" in err
-
-
-def test_cli_perf_list_and_unknown(capsys):
-    code, out, _ = run_cli(["perf", "--list"], capsys)
-    assert code == 0 and "full" in out and "quick" in out
-    code, _, err = run_cli(["perf", "--profile", "bogus"], capsys)
-    assert code == 2 and "--list" in err
+    code, out, _ = run_cli(["suite", "list"], capsys)
+    assert code == 0 and "overload[mode=...]" in out
+    assert "governed    the target firewall runs the full governor" in out
+    assert "ungoverned  the pre-overload baseline" in out
+    code, _, err = run_cli(["run", "overload[mode=bogus]"], capsys)
+    assert code == 2 and "ungoverned" in err and "suite list" in err
 
 
 def test_cli_overload_failed_invariant_exits_one(capsys, monkeypatch):
@@ -336,8 +377,45 @@ def test_cli_overload_failed_invariant_exits_one(capsys, monkeypatch):
         return document
 
     monkeypatch.setattr(overload, "run_overload_mode", starved)
-    code, out, _ = run_cli(["overload"], capsys)
+    code, out, err = run_cli(["run", "overload[seed=7]"], capsys)
     assert code == 1 and '"completion_rate": 0.5' in out
+    assert ("FAILED overload[mode=governed,seed=7]: "
+            "flood.completion_rate>=0.9 (observed 0.5)") in err
+    assert "repro run 'overload[mode=governed,seed=7]' --seed 7" in err
+
+
+@pytest.mark.parametrize("cell_id, match", [
+    ("bogus[]", "unknown scenario plugin 'bogus'"),
+    ("partition[bogus=1]", "no parameter 'bogus'"),
+    ("crashtest[scenario=bogus]", "one of"),
+])
+def test_cli_run_bad_cell_id_exits_two(capsys, cell_id, match):
+    code, out, err = run_cli(["run", cell_id], capsys)
+    assert code == 2 and out == ""
+    assert match in err and "suite list" in err
+
+
+def test_cli_run_prints_the_suite_cell_document(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "suite": "t", "cells": [
+            {"plugin": "chaos", "matrix": {"plan": ["none", "mid-crash"]}},
+            {"plugin": "overload", "params": {"seed": 7}},
+        ]}))
+    code, out, _ = run_cli(["suite", "run", str(path), "--seed", "11"],
+                           capsys)
+    assert code == 0
+    cells = json.loads(out)["cells"]
+    assert [cell["id"] for cell in cells] == [
+        "chaos[plan=none,recovery=true,workers=3]",
+        "chaos[plan=mid-crash,recovery=true,workers=3]",
+        "overload[mode=governed,seed=7]"]
+    for cell in cells:
+        code, alone, err = run_cli(["run", cell["id"], "--seed", "11"],
+                                   capsys)
+        plugin = get_plugin(cell["plugin"])
+        assert (code, err) == (0, "")
+        assert alone == plugin.render(cell["document"]) + "\n"
 
 
 def test_cli_suite_validate_and_errors(tmp_path, capsys):
@@ -372,6 +450,12 @@ def test_cli_suite_run_document_and_exit_codes(tmp_path, capsys):
     assert [c["status"] for c in document["cells"]] == \
         ["failed", "skipped"]
     assert "0/2 passed" in err
+    # Each failed check is named with its observed value, followed by
+    # the command that reproduces the cell on its own.
+    assert ("FAILED chaos[plan=none,recovery=true,workers=3]: "
+            "agent.sites_visited>=999 (observed 3)") in err
+    assert ("reproduce: repro run "
+            "'chaos[plan=none,recovery=true,workers=3]' --seed 7") in err
     # The list form shows the expanded cells with their derived seeds.
     code, out, _ = run_cli(["suite", "list", str(path)], capsys)
     assert code == 0 and "chaos[plan=none" in out

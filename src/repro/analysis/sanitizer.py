@@ -10,18 +10,19 @@ folder visible from two live agents means a copy was skipped somewhere —
 exactly the cross-host state-capture bug class that is invisible to unit
 tests until a second agent mutates shared state.
 
-Mechanism: the sanitizer rides the folder/briefcase *version counters*
-introduced for the wire-encoding cache.  Agent contexts present their
-briefcases at well-defined taps (context creation, ``send``, ``recv``,
-``go``/``spawn``); the sanitizer records each folder object (pinned with
-a strong reference, so CPython cannot recycle its ``id`` mid-run) with
-its owning agent, last seen version, and the virtual instant of the last
-observed mutation.  Two live owners for one folder raise **SAN001**
-(briefcase aliasing); version bumps attributed to different agents at
-the same virtual instant raise **SAN002** (conflicting same-instant
-writes).  Findings reuse :class:`repro.analysis.findings.Finding` with a
-``runtime:<scenario>`` path, so ``repro lint --sanitize`` merges them
-into the same JSON/SARIF document as the static findings.
+Mechanism: the sanitizer rides the *folder version counters*
+(``Folder._version``, bumped by every mutation).  Agent contexts present
+their briefcases at well-defined taps (context creation, ``send``,
+``recv``, ``go``/``spawn``); the sanitizer records each folder object
+(pinned with a strong reference, so CPython cannot recycle its ``id``
+mid-run) with its owning agent, last seen version, and the virtual
+instant of the last observed mutation.  Two live owners for one folder
+raise **SAN001** (briefcase aliasing); version bumps attributed to
+different agents at the same virtual instant raise **SAN002**
+(conflicting same-instant writes).  Findings reuse
+:class:`repro.analysis.findings.Finding` with a ``runtime:<scenario>``
+path, so ``repro lint --sanitize`` merges them into the same JSON/SARIF
+document as the static findings.
 
 Installation: :func:`sanitizing` (a context manager) installs a
 sanitizer as the *ambient* sanitizer picked up by every

@@ -15,21 +15,13 @@ Two properties the paper calls out are preserved here:
 - A briefcase is a **consistent snapshot**: :meth:`Briefcase.snapshot`
   yields an independent copy, and the codec serialises deterministically.
 
-A briefcase also carries a **wire-encoding cache** (see
-``_wire_fingerprint`` below): the codec stores the encoded bytes / size
-after the first encode, so firewall admission, the network transfer
-charge, and telemetry byte-accounting — which would otherwise each
-re-encode the same briefcase on every hop — reuse one encoding.  The
-cache is validated against a fingerprint of (folder identity, folder
-version) pairs, so *any* mutation through the :class:`Folder` or
-:class:`Briefcase` API invalidates it; property tests in
-``tests/test_properties_perf.py`` pin that invariant for every mutating
-operation.
+A briefcase holds nothing but its folders: the codec derives the wire
+image and its size from them on every call.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.element import Element
 from repro.core.errors import BriefcaseError, FolderNotFoundError
@@ -39,18 +31,11 @@ from repro.core.folder import Folder
 class Briefcase:
     """An associative array of folders."""
 
-    __slots__ = ("_folders", "_wire_stamp", "_wire_bytes", "_wire_size")
+    __slots__ = ("_folders",)
 
     def __init__(self, folders: Optional[Dict[str, Iterable[Any]]]
                  = None) -> None:
         self._folders: Dict[str, Folder] = {}
-        #: Cache of the wire encoding, maintained by the codec.  The
-        #: stamp is the fingerprint the cache was taken against; the
-        #: bytes may be absent (None) when only the size is known.
-        self._wire_stamp: Optional[
-            Tuple[Tuple[Folder, int], ...]] = None
-        self._wire_bytes: Optional[bytes] = None
-        self._wire_size: Optional[int] = None
         if folders:
             for name, values in folders.items():
                 self.folder(name).push_all(values)
@@ -118,47 +103,6 @@ class Briefcase:
     def append(self, folder_name: str, value: Any) -> None:
         self.folder(folder_name).push(value)
 
-    # -- wire-encoding cache (maintained by repro.core.codec) ---------------------
-
-    def _wire_fingerprint(self) -> Tuple[Tuple[Folder, int], ...]:
-        """The cache-validity token: (folder, version) pairs in order.
-
-        Folder objects are held by identity (the tuple keeps them alive,
-        so an ``id``-reuse after garbage collection cannot alias), and
-        every mutating :class:`~repro.core.folder.Folder` operation bumps
-        the version, so the fingerprint changes iff the wire encoding
-        could have changed.
-        """
-        return tuple((folder, folder._version)
-                     for folder in self._folders.values())
-
-    def _wire_cache_valid(self) -> bool:
-        stamp = self._wire_stamp
-        if stamp is None or len(stamp) != len(self._folders):
-            return False
-        for (folder, version), current in zip(stamp,
-                                              self._folders.values()):
-            if folder is not current or version != folder._version:
-                return False
-        return True
-
-    def _wire_cache_store(self, data: Optional[bytes],
-                          size: int) -> None:
-        """Record the current encoding (bytes may be None: size only)."""
-        self._wire_stamp = self._wire_fingerprint()
-        self._wire_bytes = data
-        self._wire_size = size
-
-    def _wire_cached_bytes(self) -> Optional[bytes]:
-        if self._wire_bytes is not None and self._wire_cache_valid():
-            return self._wire_bytes
-        return None
-
-    def _wire_cached_size(self) -> Optional[int]:
-        if self._wire_size is not None and self._wire_cache_valid():
-            return self._wire_size
-        return None
-
     # -- whole-briefcase operations ----------------------------------------------------
 
     def snapshot(self) -> "Briefcase":
@@ -166,12 +110,6 @@ class Briefcase:
         copy = Briefcase()
         for name, folder in self._folders.items():
             copy._folders[name] = folder.copy()
-        if self._wire_cache_valid():
-            # The copy encodes byte-identically, so it inherits the
-            # cached encoding (re-stamped against its own folders).
-            copy._wire_stamp = copy._wire_fingerprint()
-            copy._wire_bytes = self._wire_bytes
-            copy._wire_size = self._wire_size
         return copy
 
     def merge(self, other: "Briefcase", append: bool = True) -> None:

@@ -40,14 +40,10 @@ only each element payload is materialised (once) as ``bytes``.  The
 readable cursor-based specification it is checked against lives in the
 test suite (``tests/codec_oracle.py``).
 
-Encoding is cached: :func:`encode` / :func:`encoded_size` store their
-result on the briefcase (invalidated by any mutation — see
-``Briefcase._wire_fingerprint``), so firewall admission, the wire
-transfer charge, and telemetry byte-accounting reuse one encoding
-instead of re-encoding up to three times per hop.  A successful
-:func:`decode` of a ``bytes`` buffer pre-populates the cache with the
-input buffer itself (the format is canonical: every accepted wire image
-re-encodes to itself).
+:func:`check_briefcase` validates the structural caps and sums the exact
+wire size in one pass; :func:`encoded_size` computes the size without
+materialising the encoding.  Nothing is cached on the briefcase: every
+call reads the briefcase as it is now.
 """
 
 from __future__ import annotations
@@ -107,8 +103,16 @@ Buffer = Union[bytes, bytearray, memoryview]
 # -- encoding --------------------------------------------------------------------
 
 
-def _encode_parts(briefcase: Briefcase) -> bytes:
-    """Materialise the wire image (no cache interaction)."""
+def encode(briefcase: Briefcase,
+           limits: Optional[WireLimits] = None) -> bytes:
+    """Serialise a briefcase to its wire representation.
+
+    With ``limits`` the encoded form is checked against them first
+    (raising :class:`BriefcaseTooLargeError`) so an agent cannot even
+    *construct* an over-limit wire image.
+    """
+    if limits is not None:
+        check_briefcase(briefcase, limits)
     parts = [MAGIC, _U8.pack(VERSION)]
     folders = list(briefcase)
     parts.append(_U32.pack(len(folders)))
@@ -126,43 +130,16 @@ def _encode_parts(briefcase: Briefcase) -> bytes:
     return b"".join(parts)
 
 
-def encode(briefcase: Briefcase,
-           limits: Optional[WireLimits] = None) -> bytes:
-    """Serialise a briefcase to its wire representation.
-
-    With ``limits`` the encoded form is checked against them first
-    (raising :class:`BriefcaseTooLargeError`) so an agent cannot even
-    *construct* an over-limit wire image.
-
-    The result is cached on the briefcase and reused until the briefcase
-    (or any of its folders) is mutated.
-    """
-    if limits is not None:
-        check_briefcase(briefcase, limits)
-    cached = briefcase._wire_cached_bytes()
-    if cached is not None:
-        return cached
-    data = _encode_parts(briefcase)
-    briefcase._wire_cache_store(data, len(data))
-    return data
-
-
 def encoded_size(briefcase: Briefcase) -> int:
     """The exact wire size in bytes, without materialising the encoding.
 
-    Single pass: each folder name is UTF-8 encoded exactly once.  The
-    size is cached alongside the encoding (and served from a previous
-    :func:`encode` when one is still valid).
+    Single pass: each folder name is UTF-8 encoded exactly once.
     """
-    cached = briefcase._wire_cached_size()
-    if cached is not None:
-        return cached
     size = _HEADER_BYTES
     for folder in briefcase:
         size += _U16.size + len(folder.name.encode("utf-8")) + _U32.size
         for element in folder:
             size += _U32.size + len(element)
-    briefcase._wire_cache_store(None, size)
     return size
 
 
@@ -215,7 +192,6 @@ def check_briefcase(briefcase: Briefcase, limits: WireLimits) -> int:
         raise BriefcaseTooLargeError(
             f"briefcase encodes to {size} bytes "
             f"(limit {limits.max_encoded_bytes})")
-    briefcase._wire_cache_store(None, size)
     return size
 
 
@@ -375,9 +351,4 @@ def _decode_fast(data: Buffer,
     if pos != n:
         raise MalformedBriefcaseError(
             f"{n - pos} trailing bytes after briefcase")
-    if type(data) is bytes:
-        # The format is canonical: this exact buffer is what encode()
-        # would produce, so it seeds the briefcase's encoding cache and
-        # the next hop's admission/transfer/accounting reuse it.
-        briefcase._wire_cache_store(data, n)
     return briefcase

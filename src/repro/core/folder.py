@@ -6,6 +6,10 @@ original TACOMA C API indexes folders 1-based (``fRemove(folder, 1)``
 removes the first element — see the Figure 4 agent); this implementation
 offers a Pythonic 0-based sequence API plus the queue-style operations
 agents actually use (``push``/``pop_first``).
+
+Each folder keeps a private mutation counter, ``_version``, bumped by
+every mutating operation.  Its one reader is the runtime aliasing
+sanitizer (:mod:`repro.analysis.sanitizer`).
 """
 
 from __future__ import annotations
@@ -19,11 +23,9 @@ from repro.core.errors import BriefcaseError
 class Folder:
     """An ordered list of :class:`Element` values with a name.
 
-    Every mutation bumps ``_version``, a monotonically increasing counter
-    that :class:`~repro.core.briefcase.Briefcase` uses to detect whether
-    its cached wire encoding is still valid (see
-    ``Briefcase._wire_fingerprint``).  The counter carries no meaning
-    beyond "has this folder changed since the fingerprint was taken".
+    Every mutation bumps ``_version``, the counter the aliasing
+    sanitizer reads to tell whether a folder changed between two
+    observations.  It carries no other meaning.
     """
 
     __slots__ = ("name", "_elements", "_version")

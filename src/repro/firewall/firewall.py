@@ -19,15 +19,6 @@ with one thread per VM; here each firewall is an object whose methods run
 inside the calling agent's simulation process, with queueing and TTLs
 delegated to kernel events.  The serialization boundary is real: every
 remote message is charged for its encoded briefcase size on the wire.
-
-Byte-accounting is cache-backed: the ``codec.encoded_size`` calls on the
-send path (governor admission in :meth:`Firewall._forward_remote`, the
-wire charge, telemetry's ``agent.bytes_out``) and on local dispatch all
-resolve against the briefcase's cached encoding (see
-:mod:`repro.core.codec`), so one briefcase is encoded at most once per
-mutation instead of once per accounting site; ``receive_wire`` seeds the
-cache with the decoded buffer, and ``snapshot_for_transport`` propagates
-it across the hop.
 """
 
 from __future__ import annotations
@@ -152,9 +143,6 @@ class Firewall:
         self.pending = PendingQueue(kernel, on_expire=self._on_expire,
                                     host=host.name, log=self.log,
                                     **queue_kwargs)
-        if governor_config is not None and \
-                governor_config.breaker is not None:
-            network.configure_breakers(governor_config.breaker)
         #: Poison wire messages that failed to decode (newest last).
         self.quarantine: List[dict] = []
         #: Idempotent-receive state (``self.dedup``/``self.landings``).
@@ -606,9 +594,6 @@ class Firewall:
                         admitted: bool = False) -> bool:
         target = message.target.local()
         local_message = message.with_target(target)
-        # Cache-served after the first accounting site touches this
-        # briefcase (encode on the forward path seeds it; so does
-        # decode on the receive_wire path).
         wire_bytes = codec.encoded_size(message.briefcase)
         if not admitted:
             # The dispatching firewall protects its own host: every

@@ -27,15 +27,9 @@ The kernel is deliberately single-threaded and deterministic: events
 scheduled for the same instant fire in scheduling order.
 
 Hot paths (see ``docs/performance.md``): event classes use
-``__slots__``; :meth:`Kernel.run` / :meth:`Kernel.run_until` dispatch
-events through :meth:`Kernel._drain_fast` whenever telemetry is
-disabled — small heaps get a plain inlined pop loop, large heaps get a
-*sorted-batch drain* (sort the pending entries once, walk them
-linearly, merge in a side-heap of newly posted events) — falling back
-to :meth:`Kernel.step`, which pays the metrics cost, the moment
-telemetry is enabled.  Same-instant event bursts can be scheduled in
-one amortised call with :meth:`Kernel.succeed_many`.  Both dispatch
-paths produce the same event order and virtual times.
+``__slots__``, and :meth:`Kernel.run` / :meth:`Kernel.run_until` share
+one dispatch loop, :meth:`Kernel._dispatch`, which pays one boolean
+check per event while telemetry is off.
 """
 
 from __future__ import annotations
@@ -147,17 +141,7 @@ class Event:
             self.callbacks.append(callback)
 
     def _fire(self) -> None:
-        """Hook run by the kernel when the event's turn comes.
-
-        The callback loop is inlined here (rather than delegated to
-        :meth:`_run_callbacks`) to save one method call per dispatched
-        event on the kernel hot path.
-        """
-        callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks or ():
-            callback(self)
-
-    def _run_callbacks(self) -> None:
+        """Hook run by the kernel when the event's turn comes."""
         callbacks, self.callbacks = self.callbacks, None
         for callback in callbacks or ():
             callback(self)
@@ -413,187 +397,56 @@ class Kernel:
         heapq.heappush(self._heap, (self._now + delay, self._sequence, event))
         self._sequence += 1
 
-    def _post_many(self, events: List[Event], delay: float = 0.0) -> None:
-        """Schedule a same-instant burst of events in one amortised call.
-
-        Events fire in list order (consecutive sequence numbers).  For a
-        burst at least as large as the existing heap, an extend +
-        ``heapify`` (O(total)) replaces per-event pushes (O(k log n));
-        ordering is unaffected because the heap's total order is the
-        unique (time, sequence) pair, not its internal layout.
-        """
-        when = self._now + delay
-        seq = self._sequence
-        entries = [(when, seq + i, event) for i, event in enumerate(events)]
-        self._sequence = seq + len(entries)
-        heap = self._heap
-        if len(entries) > 8 and len(entries) >= len(heap):
-            heap.extend(entries)
-            heapq.heapify(heap)
-        else:
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
-
-    def succeed_many(self, events: List[Event], value: Any = None) -> None:
-        """Trigger a burst of pending events with one scheduling call.
-
-        Equivalent to ``for e in events: e.succeed(value)`` (same firing
-        order) but pays one :meth:`_post_many` instead of N heap pushes —
-        the batched path for same-instant event bursts (queue flushes,
-        fan-out wake-ups, benchmark setup).
-        """
-        for event in events:
-            if event.triggered:
-                raise EventAlreadyTriggered(f"{event!r} already triggered")
-            event._value = value
-        self._post_many(events)
-
     # -- execution -----------------------------------------------------------
 
-    #: Heap size at which the fast drain switches from a plain pop loop
-    #: to the sorted-batch drain (sorting tiny heaps costs more than it
-    #: saves).
-    _BATCH_MIN = 64
+    def _dispatch(self, until: Optional[float] = None,
+                  max_events: Optional[int] = None,
+                  awaited: Optional[Event] = None) -> bool:
+        """The one dispatch loop behind :meth:`run` and :meth:`run_until`.
 
-    def _drain_fast(self, stop_event: Optional[Event] = None) -> None:
-        """Dispatch events until the heap drains, ``stop_event``
-        triggers, or telemetry turns on.
-
-        Two regimes, chosen by heap size:
-
-        - **small heap** (< ``_BATCH_MIN``): a plain pop-and-fire loop —
-          :func:`heapq.heappop` on a short heap is already cheap;
-        - **large heap**: the *sorted-batch drain*.  The pending heap is
-          detached and sorted once (Timsort in C, exploiting the heap
-          array's partial order), then walked linearly; events posted
-          *during* the drain go to a fresh side-heap that is merged by
-          comparing its head against the next batch entry.  Because the
-          schedule's total order is the unique ``(time, sequence)`` pair,
-          the merge reproduces exactly the order N individual
-          ``heappop`` calls would have produced — at a fraction of the
-          comparisons.
-
-        On any exit (including an escaping callback error) the leftover
-        batch suffix and side-heap are merged back into ``self._heap``
-        and the dispatch count is written back, so the kernel is always
-        left consistent.
+        Pops ``(time, sequence, event)`` entries in order and fires
+        them, stopping before an event later than ``until``, once
+        ``awaited`` has triggered, or after ``max_events`` dispatches.
+        Telemetry is checked on every event, so switching it on mid-run
+        counts every event dispatched afterwards.  Returns True when the
+        loop ended because the heap drained.
         """
-        count = self.processed_events
+        heap = self._heap
         pop = heapq.heappop
         telemetry = self.telemetry
-        batch_min = self._BATCH_MIN
-        try:
-            while True:
-                batch = self._heap
-                n = len(batch)
-                if not n or telemetry.enabled:
-                    return
-                if stop_event is not None and (
-                        stop_event._value is not _PENDING
-                        or stop_event._exception is not None):
-                    return
-                if n < batch_min:
-                    heap = batch
-                    while heap:
-                        when, _seq, event = pop(heap)
-                        if when < self._now:
-                            raise SimulationError(
-                                "event scheduled in the past")
-                        self._now = when
-                        count += 1
-                        event._fire()
-                        if telemetry.enabled:
-                            return
-                        if stop_event is not None and (
-                                stop_event._value is not _PENDING
-                                or stop_event._exception is not None):
-                            return
-                        if len(heap) >= batch_min:
-                            break  # grown enough to be worth batching
-                    continue
-                batch.sort()  # (time, seq) unique: total order, stable
-                self._heap = heap = []
-                i = 0
-                try:
-                    while i < n:
-                        if heap and heap[0] < batch[i]:
-                            when, _seq, event = pop(heap)
-                        else:
-                            when, _seq, event = batch[i]
-                            i += 1
-                        if when < self._now:
-                            raise SimulationError(
-                                "event scheduled in the past")
-                        self._now = when
-                        count += 1
-                        event._fire()
-                        if telemetry.enabled:
-                            return
-                        if stop_event is not None and (
-                                stop_event._value is not _PENDING
-                                or stop_event._exception is not None):
-                            return
-                finally:
-                    if i < n:
-                        # Bail-out mid-batch: merge the unfired suffix
-                        # with whatever was posted during the drain.
-                        del batch[:i]
-                        batch.extend(heap)
-                        heapq.heapify(batch)
-                        self._heap = batch
-                # Batch exhausted; self._heap holds only events posted
-                # during the drain — loop around and re-batch those.
-        finally:
-            self.processed_events = count
-
-    def step(self) -> None:
-        """Process the single next event, advancing the clock to it."""
-        when, _seq, event = heapq.heappop(self._heap)
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        self.processed_events += 1
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.inc("kernel.events_dispatched")
-            metrics.set_gauge("kernel.heap_depth", len(self._heap))
-        event._fire()
+        dispatched = 0
+        while heap:
+            if awaited is not None and awaited.triggered:
+                return False
+            if until is not None and heap[0][0] > until:
+                self._now = until
+                return False
+            when, _seq, event = pop(heap)
+            if when < self._now:
+                raise SimulationError("event scheduled in the past")
+            self._now = when
+            self.processed_events += 1
+            if telemetry.enabled:
+                metrics = telemetry.metrics
+                metrics.inc("kernel.events_dispatched")
+                metrics.set_gauge("kernel.heap_depth", len(heap))
+            event._fire()
+            dispatched += 1
+            if max_events is not None and dispatched >= max_events:
+                return False
+        return True
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run until the heap is empty, ``until`` is reached, or
-        ``max_events`` events have been processed.  Returns the clock.
-
-        When telemetry is disabled (the default) events are dispatched
-        through :meth:`_drain_fast` — no per-event :meth:`step` call,
-        sorted-batch draining for large heaps — with identical
-        semantics; dispatch falls back to :meth:`step` whenever
-        telemetry is (or becomes) enabled.
-        """
+        ``max_events`` events have been processed.  Returns the clock."""
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run)")
         self._running = True
-        processed = 0
-        telemetry = self.telemetry
-        unconstrained = until is None and max_events is None
         try:
-            while self._heap:
-                if unconstrained and not telemetry.enabled:
-                    self._drain_fast()
-                    continue  # re-evaluate regime (telemetry mid-flip)
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                self.step()
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    break
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
+            drained = self._dispatch(until=until, max_events=max_events)
+            if drained and until is not None and until > self._now:
+                self._now = until
         finally:
             self._running = False
         return self._now
@@ -603,23 +456,13 @@ class Kernel:
 
         Unlike :meth:`run`, this leaves later-scheduled events (stale
         timeouts, idle service loops) unprocessed, so the clock reflects
-        when the awaited event actually happened.  Uses the same
-        :meth:`_drain_fast` dispatch fast path as :meth:`run`.
+        when the awaited event actually happened.
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run)")
         self._running = True
-        telemetry = self.telemetry
         try:
-            while self._heap and not event.triggered:
-                if until is None and not telemetry.enabled:
-                    self._drain_fast(stop_event=event)
-                    continue  # re-evaluate regime (telemetry mid-flip)
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                self.step()
+            self._dispatch(until=until, awaited=event)
         finally:
             self._running = False
 

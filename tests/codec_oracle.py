@@ -118,6 +118,5 @@ def decode_reference(data: codec.Buffer,
                      limits: Optional[WireLimits] = DEFAULT_WIRE_LIMITS
                      ) -> Briefcase:
     """Decode ``data`` with the oracle, under the same buffer-size
-    checks and caps as ``codec.decode``.  Unlike production ``decode``
-    it never seeds the briefcase's encoding cache."""
+    checks and caps as ``codec.decode``."""
     return _decode_reference(data, codec._decode_caps(len(data), limits))

@@ -1,5 +1,5 @@
 """Tests for the codec hot paths: the production decoder against the
-cursor-based oracle, and the briefcase encoding cache."""
+cursor-based oracle, and encodings that follow the briefcase's state."""
 
 import struct
 
@@ -104,18 +104,16 @@ class TestDecoderEquivalence:
         assert codec.decode(window) == codec.decode(wire)
 
 
-class TestEncodingCache:
-    def test_repeat_encode_returns_cached_object(self):
-        briefcase = Briefcase({"F": [b"x", b"y"]})
-        first = codec.encode(briefcase)
-        assert codec.encode(briefcase) is first
+class TestEncodingFollowsState:
+    def test_encoded_size_equals_encode_length(self):
+        from repro.core.limits import WireLimits
 
-    def test_encoded_size_served_from_encode_cache(self):
         briefcase = Briefcase({"F": [b"x" * 100]})
         wire = codec.encode(briefcase)
         assert codec.encoded_size(briefcase) == len(wire)
+        assert codec.check_briefcase(briefcase, WireLimits()) == len(wire)
 
-    def test_mutation_invalidates_cache(self):
+    def test_mutation_changes_encoding(self):
         briefcase = Briefcase({"F": [b"x"]})
         stale = codec.encode(briefcase)
         briefcase.folder("F").push(b"y")
@@ -123,46 +121,10 @@ class TestEncodingCache:
         assert fresh != stale
         assert codec.decode(fresh) == briefcase
 
-    def test_decode_seeds_cache_with_input_buffer(self):
-        wire = wire_of({"F": [b"data"]})
-        briefcase = codec.decode(wire)
-        # Canonical format: re-encoding is the input buffer itself.
-        assert codec.encode(briefcase) is wire
-
-    def test_decode_of_view_does_not_seed_cache(self):
-        wire = wire_of({"F": [b"data"]})
-        briefcase = codec.decode(memoryview(wire))
-        assert briefcase._wire_bytes is None
-        assert codec.encode(briefcase) == wire
-
-    def test_snapshot_inherits_valid_cache(self):
-        briefcase = Briefcase({"F": [b"x"]})
-        wire = codec.encode(briefcase)
-        snapshot = briefcase.snapshot()
-        assert codec.encode(snapshot) is wire
-
-    def test_snapshot_cache_survives_source_mutation(self):
+    def test_snapshot_is_independent_of_source_mutation(self):
         briefcase = Briefcase({"F": [b"x"]})
         wire = codec.encode(briefcase)
         snapshot = briefcase.snapshot()
         briefcase.folder("F").push(b"mutate-source")
         assert codec.encode(snapshot) == wire
         assert codec.encode(briefcase) != wire
-
-    def test_fast_paths_off_bypasses_cache(self):
-        # The uncached encoder materialises a fresh image every call and
-        # never touches the briefcase's cache.
-        briefcase = Briefcase({"F": [b"x"]})
-        first = codec._encode_parts(briefcase)
-        second = codec._encode_parts(briefcase)
-        assert first == second == codec.encode(Briefcase({"F": [b"x"]}))
-        assert first is not second
-        assert briefcase._wire_bytes is None
-
-    def test_check_briefcase_stores_size_for_reuse(self):
-        from repro.core.limits import WireLimits
-
-        briefcase = Briefcase({"F": [b"x" * 50]})
-        size = codec.check_briefcase(briefcase, WireLimits())
-        assert briefcase._wire_cached_size() == size
-        assert codec.encoded_size(briefcase) == size

@@ -1,4 +1,4 @@
-"""Property tests for the codec fast paths and encoding cache.
+"""Property tests for the codec hot paths.
 
 Two invariants underwrite the hot-path work:
 
@@ -6,9 +6,9 @@ Two invariants underwrite the hot-path work:
    same bytes regardless of which decoder (production or the
    ``tests/codec_oracle.py`` reference) built the briefcase, and
    ``decode(encode(b)) == b`` through both.
-2. Cache soundness: every mutating ``Folder`` / ``Briefcase`` operation
-   invalidates the cached encoding, so ``encode`` never serves stale
-   bytes.
+2. Mutation round trip: after every mutating ``Folder`` / ``Briefcase``
+   operation, ``encode`` reflects the mutated state, so it never serves
+   stale bytes.
 """
 
 import string
@@ -86,19 +86,18 @@ BRIEFCASE_MUTATIONS = {
 ALL_MUTATIONS = {**FOLDER_MUTATIONS, **BRIEFCASE_MUTATIONS}
 
 
-class TestCacheInvalidation:
+class TestMutationRoundTrip:
     @pytest.mark.parametrize("op", sorted(ALL_MUTATIONS))
     @given(briefcase=briefcases)
     @settings(max_examples=25, deadline=None)
-    def test_mutation_invalidates_cached_encoding(self, op, briefcase):
+    def test_mutation_round_trips_through_encoding(self, op, briefcase):
         # Guarantee folder "A" exists with at least one element so every
         # operation is applicable.
         briefcase.put("A", b"seed")
         before = codec.encode(briefcase)
-        assert briefcase._wire_cache_valid()
         ALL_MUTATIONS[op](briefcase)
         after = codec.encode(briefcase)
-        # The cache must reflect the mutated state: re-decoding the
+        # The encoding reflects the mutated state: re-decoding the
         # fresh bytes reproduces the briefcase exactly.
         assert codec.decode(after) == briefcase
         assert codec.encoded_size(briefcase) == len(after)
@@ -110,33 +109,3 @@ class TestCacheInvalidation:
             # which the asserts above covered.
             return
         assert after != before
-
-    @pytest.mark.parametrize("op", sorted(ALL_MUTATIONS))
-    def test_mutation_drops_cached_buffer(self, op):
-        briefcase = Briefcase({"A": [b"one", b"two"], "B": [b"three"]})
-        codec.encode(briefcase)
-        assert briefcase._wire_cache_valid()
-        ALL_MUTATIONS[op](briefcase)
-        assert not briefcase._wire_cache_valid()
-
-    @given(briefcase=briefcases)
-    @settings(max_examples=50, deadline=None)
-    def test_unmutated_briefcase_serves_identical_object(self, briefcase):
-        first = codec.encode(briefcase)
-        assert codec.encode(briefcase) is first
-
-    @given(briefcase=briefcases)
-    @settings(max_examples=50, deadline=None)
-    def test_read_only_operations_preserve_cache(self, briefcase):
-        briefcase.put("A", b"seed")
-        wire = codec.encode(briefcase)
-        briefcase.names()
-        briefcase.has("A")
-        briefcase.get_first("A")
-        briefcase.get("A").texts()
-        briefcase.get("A").byte_size()
-        briefcase.get("A").first()
-        briefcase.get("A").last()
-        briefcase.payload_bytes()
-        briefcase.to_dict()
-        assert codec.encode(briefcase) is wire

@@ -410,59 +410,7 @@ class TestCombinatorsWithProcessedChildren:
         assert isinstance(process.exception, KeyError)
 
 
-class TestBatchedScheduling:
-    def test_succeed_many_fires_in_list_order(self, kernel):
-        order = []
-        events = [kernel.event() for _ in range(20)]
-        for i, event in enumerate(events):
-            event.add_callback(lambda _e, i=i: order.append(i))
-        kernel.succeed_many(events, value="v")
-        drain(kernel)
-        assert order == list(range(20))
-        assert all(e.value == "v" for e in events)
-
-    def test_succeed_many_interleaves_with_heap_by_sequence(self, kernel):
-        order = []
-        kernel.timeout(0.0).add_callback(lambda _e: order.append("timer"))
-        events = [kernel.event() for _ in range(3)]
-        for i, event in enumerate(events):
-            event.add_callback(lambda _e, i=i: order.append(i))
-        kernel.succeed_many(events)
-        drain(kernel)
-        # The zero-delay timeout was scheduled first, so it keeps its
-        # place ahead of the batch.
-        assert order == ["timer", 0, 1, 2]
-
-    def test_succeed_many_rejects_triggered_event(self, kernel):
-        ready = kernel.event()
-        ready.succeed(1)
-        fresh = kernel.event()
-        with pytest.raises(EventAlreadyTriggered):
-            kernel.succeed_many([fresh, ready])
-
-    def test_large_burst_uses_heapify_and_keeps_order(self, kernel):
-        # > 8 entries and >= heap size triggers the extend+heapify path.
-        order = []
-        events = [kernel.event() for _ in range(200)]
-        for i, event in enumerate(events):
-            event.add_callback(lambda _e, i=i: order.append(i))
-        kernel.succeed_many(events)
-        drain(kernel)
-        assert order == list(range(200))
-
-    def test_post_many_with_delay(self, kernel):
-        order = []
-        events = [kernel.event() for _ in range(5)]
-        for i, event in enumerate(events):
-            event._value = i
-            event.add_callback(lambda _e, i=i: order.append(i))
-        kernel._post_many(events, delay=2.5)
-        drain(kernel)
-        assert order == [0, 1, 2, 3, 4]
-        assert kernel.now == pytest.approx(2.5)
-
-
-class TestSlotsAndFastDrain:
+class TestSlotsAndDispatch:
     def test_event_classes_have_no_instance_dict(self, kernel):
         from repro.sim.eventloop import AllOf, AnyOf, Event, Process, Timeout
 
@@ -476,11 +424,11 @@ class TestSlotsAndFastDrain:
             with pytest.raises(AttributeError):
                 _ = obj.__dict__
 
-    def test_fast_and_slow_dispatch_agree_on_mixed_workload(self):
+    def test_telemetry_on_and_off_dispatch_agree_on_mixed_workload(self):
         from repro.obs.telemetry import Telemetry
 
-        # A telemetry-enabled kernel dispatches every event through the
-        # per-event step(); a default kernel takes the inlined drain.
+        # Telemetry only adds metrics: the same workload fires the same
+        # events at the same instants with it on or off.
         def build_and_run(telemetry):
             kernel = Kernel(telemetry=telemetry)
             fired = []
@@ -501,31 +449,11 @@ class TestSlotsAndFastDrain:
             kernel.run()
             return fired, kernel.now, kernel.processed_events
 
-        fast = build_and_run(None)
-        slow = build_and_run(Telemetry(enabled=True))
-        assert fast == slow
+        off = build_and_run(None)
+        on = build_and_run(Telemetry(enabled=True))
+        assert off == on
 
-    def test_drain_survives_batch_growth_past_threshold(self):
-        # Start below the sorted-batch threshold, then grow the heap far
-        # beyond it from inside a callback: the drain must switch modes
-        # without dropping or reordering anything.
-        kernel = Kernel()
-        seen = []
-
-        def explode(_event):
-            events = [kernel.event() for _ in range(500)]
-            for i, event in enumerate(events):
-                event.add_callback(lambda _e, i=i: seen.append(i))
-            kernel.succeed_many(events)
-
-        trigger = kernel.event()
-        trigger.add_callback(explode)
-        trigger.succeed(None)
-        kernel.run()
-        assert seen == list(range(500))
-        assert kernel.processed_events == 501
-
-    def test_telemetry_flip_mid_drain_falls_back_to_step(self):
+    def test_telemetry_enabled_mid_run_counts_later_events(self):
         from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry(enabled=False)
@@ -541,14 +469,13 @@ class TestSlotsAndFastDrain:
         kernel.run()
         assert kernel.processed_events == 301
         assert kernel.now == 299.0
-        # Events after the flip (t=101..299) went through step(), which
-        # counts them; the 101+1 events up to and including the flip
-        # were dispatched by the fast drain and are not.
+        # Events after the flip (t=101..299) are counted; the 101+1
+        # events up to and including the flip ran with telemetry off.
         counted = telemetry.metrics.value("kernel.events_dispatched",
                                           default=0)
         assert counted == 199
 
-    def test_callback_error_leaves_heap_consistent(self):
+    def test_callback_error_leaves_remaining_events_runnable(self):
         kernel = Kernel()
         fired = []
         for i in range(100):

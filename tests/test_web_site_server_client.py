@@ -1,6 +1,12 @@
 """Unit tests for the site generator, web server, and HTTP client."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.sim.host import SimHost
 from repro.sim.ledger import CostLedger
@@ -101,6 +107,29 @@ class TestSiteGenerator:
     def test_external_stub_site(self):
         site = external_stub_site("stub.test")
         assert site.n_pages >= 1 and site.root_path in site.pages
+
+    def test_external_stub_site_ignores_hash_seed(self):
+        # String hashing is salted per process; the stub's page bytes
+        # must not depend on PYTHONHASHSEED.
+        script = (
+            "import hashlib\n"
+            "from repro.web.site import external_stub_site\n"
+            "site = external_stub_site('www.w3.org', n_pages=3)\n"
+            "digest = hashlib.sha256()\n"
+            "for path in sorted(site.pages):\n"
+            "    digest.update(path.encode() + b'\\0')\n"
+            "    digest.update(site.pages[path].html.encode())\n"
+            "print(digest.hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True)
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
 
 
 @pytest.fixture

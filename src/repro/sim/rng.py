@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence
+from bisect import bisect_left
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class RandomStream:
@@ -75,21 +76,53 @@ class RandomStream:
         return max(low, min(high, self.lognormal(mu, sigma)))
 
     def zipf_index(self, n: int, skew: float = 1.0) -> int:
-        """An index in [0, n) drawn from a Zipf-like distribution."""
+        """An index in [0, n) drawn from a Zipf-like distribution.
+
+        Index ``i`` has weight ``1 / (i + 1) ** skew``.  The draw is the
+        first ``i`` whose running weight sum reaches ``random() * total``,
+        or ``n - 1`` if none does; it consumes exactly one ``random()``.
+        """
         if n <= 0:
             raise ValueError("zipf_index requires n >= 1")
-        weights = [1.0 / (i + 1) ** skew for i in range(n)]
-        total = sum(weights)
-        point = self._random.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if point <= acc:
-                return i
-        return n - 1
+        key = (skew, n)
+        table = _ZIPF_DRAWS.get(key)
+        if table is None:
+            table = _ZIPF_DRAWS[key] = _zipf_table(n, skew)
+        cumulative, total = table
+        i = bisect_left(cumulative, self._random.random() * total, 0, n)
+        return i if i < n else n - 1
 
     def __repr__(self) -> str:
         return f"<RandomStream seed={self.seed} name={self.name!r}>"
+
+
+#: Per skew: the weights ``1 / (i + 1) ** skew`` and their running sums,
+#: grown on demand and shared by every ``n``.  The running sum up to
+#: ``i`` does not depend on ``n``, and each entry is added in index
+#: order from 0.0, so it is bit-for-bit the sum a fresh loop over the
+#: first ``n`` weights reaches at ``i``.
+_ZIPF_PREFIXES: Dict[float, Tuple[List[float], List[float]]] = {}
+
+#: Per ``(skew, n)``: the shared running sums and the total weight of
+#: the first ``n`` indices.
+_ZIPF_DRAWS: Dict[Tuple[float, int], Tuple[List[float], float]] = {}
+
+
+def _zipf_table(n: int, skew: float) -> Tuple[List[float], float]:
+    """The running sums for ``skew`` (at least ``n`` long) and the total.
+
+    The total is ``sum()`` of the first ``n`` weights, not the last
+    running sum: from Python 3.12 ``sum()`` of floats is compensated,
+    so the two can differ in the last bits.
+    """
+    weights, cumulative = _ZIPF_PREFIXES.setdefault(skew, ([], []))
+    acc = cumulative[-1] if cumulative else 0.0
+    for i in range(len(weights), n):
+        weight = 1.0 / (i + 1) ** skew
+        acc += weight
+        weights.append(weight)
+        cumulative.append(acc)
+    return cumulative, sum(weights[:n])
 
 
 def derive_seed(seed: int, name: str) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import html as _html
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List
 
 
@@ -47,19 +48,29 @@ _FILLER_WORDS = (
 ).split()
 
 
+@lru_cache(maxsize=None)
+def _filler_cycle(start: int) -> str:
+    """One period of filler text from word ``start``, each word + a space.
+
+    Word ``k`` of the filler is ``_FILLER_WORDS[(salt + 7 * k) % 30]``,
+    so the text repeats every 30 words.
+    """
+    count = len(_FILLER_WORDS)
+    return "".join(_FILLER_WORDS[(start + 7 * k) % count] + " "
+                   for k in range(count))
+
+
 def make_filler(nbytes: int, salt: int = 0) -> str:
-    """Deterministic prose filler of approximately ``nbytes`` bytes."""
+    """Deterministic prose filler of approximately ``nbytes`` bytes.
+
+    The text is exactly ``nbytes`` long unless it would end in the space
+    after a word; then that space is dropped.
+    """
     if nbytes <= 0:
         return ""
-    words = []
-    size = 0
-    i = salt
-    while size < nbytes:
-        word = _FILLER_WORDS[i % len(_FILLER_WORDS)]
-        words.append(word)
-        size += len(word) + 1
-        i += 7
-    return " ".join(words)[:nbytes]
+    cycle = _filler_cycle(salt % len(_FILLER_WORDS))
+    text = (cycle * (nbytes // len(cycle) + 1))[:nbytes]
+    return text[:-1] if text[-1] == " " else text
 
 
 def render_page(path: str, title: str, links: List[str],

@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.analysis.findings import Finding
 from repro.analysis.symbols import ClassFacts, FunctionFacts, ModuleFacts
 
 #: Bare names that resolve to builtins with analyzer-known behaviour;
@@ -55,9 +56,14 @@ class Edge:
 
 
 class Project:
-    """The whole-program view: facts, indexes, and the call graph."""
+    """The whole-program view: facts, indexes, and the call graph, plus
+    the per-file findings and display paths of the run that built it."""
 
-    def __init__(self, modules: Mapping[str, ModuleFacts]) -> None:
+    def __init__(self, modules: Mapping[str, ModuleFacts],
+                 findings: Iterable[Finding],
+                 analyzed: Iterable[str]) -> None:
+        self.findings: List[Finding] = list(findings)
+        self.analyzed: List[str] = list(analyzed)
         #: module name -> facts, insertion in sorted module order.
         self.modules: Dict[str, ModuleFacts] = {
             name: modules[name] for name in sorted(modules)}

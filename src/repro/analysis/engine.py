@@ -28,15 +28,14 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Type,
 )
 
-if TYPE_CHECKING:  # circular at runtime (iprules -> rules -> engine)
+if TYPE_CHECKING:  # circular at runtime (symbols -> rules -> engine)
     from repro.analysis.callgraph import Project
-    from repro.analysis.iprules import ProjectRule
+    from repro.analysis.symbols import ModuleFacts
 
 from repro.analysis.findings import (
     Finding,
@@ -81,6 +80,10 @@ class LintContext:
         #: comment anywhere on a decorated ``def`` header suppresses
         #: findings attributed to any of its lines.
         self._header_spans: Dict[int, Tuple[int, ...]] = {}
+        #: every node of ``tree`` in ``ast.walk`` (breadth-first) order:
+        #: the tree is walked once, and the preparation passes below and
+        #: every rule (through :meth:`walk`) iterate this list.
+        self._nodes: List[ast.AST] = list(ast.walk(tree))
         self._collect_imports()
         self._link_parents()
         self._collect_header_spans()
@@ -88,7 +91,7 @@ class LintContext:
     # -- tree preparation ---------------------------------------------------
 
     def _collect_imports(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self._nodes:
             if isinstance(node, ast.Import):
                 for item in node.names:
                     if item.asname is not None:
@@ -111,12 +114,12 @@ class LintContext:
                         self.shadowed.add(target.id)
 
     def _link_parents(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self._nodes:
             for child in ast.iter_child_nodes(node):
                 child._lint_parent = node  # type: ignore[attr-defined]
 
     def _collect_header_spans(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self._nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
@@ -163,8 +166,8 @@ class LintContext:
             return self.lines[lineno - 1].strip()
         return ""
 
-    def walk(self) -> Iterator[ast.AST]:
-        return ast.walk(self.tree)
+    def walk(self) -> List[ast.AST]:
+        return self._nodes
 
     # -- suppressions -------------------------------------------------------
 
@@ -231,34 +234,26 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def rule_index(rules: Optional[Sequence[Rule]] = None
-               ) -> Dict[str, Tuple[str, str]]:
+def rule_index() -> Dict[str, Tuple[str, str]]:
     """rule id -> (severity, description), for SARIF and docs."""
-    return {rule.id: (rule.severity, rule.description)
-            for rule in (RULES if rules is None else rules)}
+    return {rule.id: (rule.severity, rule.description) for rule in RULES}
 
 
 class Analyzer:
-    """Runs a rule set over files / directory trees.
+    """Runs the rule registry over files / directory trees.
 
-    :meth:`analyze_file` / :meth:`analyze_source` stay strictly
-    per-file (they power unit tests and editor integrations);
-    :meth:`analyze_paths` additionally assembles the whole-program
-    view (:mod:`repro.analysis.symbols` / ``callgraph`` / ``dataflow``)
-    and runs the interprocedural rule pack over it.  ``cache_dir``
-    enables the content-hash facts cache; ``project_rules=()``
-    disables the interprocedural pass.
+    :meth:`build_project` is the one loop over files, through
+    :meth:`analyze_file`; :meth:`analyze_paths` adds the
+    interprocedural rule pack; :meth:`analyze_source` lints one string
+    (unit tests, editor integrations).  ``cache_dir`` enables the
+    content-hash facts cache.
     """
 
-    def __init__(self, rules: Optional[Sequence[Rule]] = None,
-                 project_rules: Optional[Sequence["ProjectRule"]] = None,
-                 cache_dir: Optional[str] = None):
-        self.rules: List[Rule] = list(RULES if rules is None else rules)
-        if project_rules is None:
-            from repro.analysis.iprules import PROJECT_RULES
-            project_rules = PROJECT_RULES
-        self.project_rules: List["ProjectRule"] = list(project_rules)
-        self.cache_dir = cache_dir
+    def __init__(self, cache_dir: Optional[str] = None):
+        from repro.analysis.summaries import FactsCache
+        #: Callers observe hit/miss counts (the cache-equivalence tests
+        #: assert a warm run extracts no facts).
+        self.cache = FactsCache(cache_dir)
 
     # -- file discovery -----------------------------------------------------
 
@@ -306,12 +301,19 @@ class Analyzer:
                        module: str = "") -> List[Finding]:
         """Run the rules over one source string (suppression-filtered,
         unsorted, not yet fingerprinted)."""
+        return self._check(self._context(source, path, module))
+
+    @staticmethod
+    def _context(source: str, path: str, module: str) -> LintContext:
         tree = ast.parse(source, filename=path)
-        ctx = LintContext(path=path, module=module or "<memory>",
-                          source=source, tree=tree)
+        return LintContext(path=path, module=module or "<memory>",
+                           source=source, tree=tree)
+
+    @staticmethod
+    def _check(ctx: LintContext) -> List[Finding]:
         file_suppressed = ctx.file_suppressed_rules()
         findings: List[Finding] = []
-        for rule in self.rules:
+        for rule in RULES:
             if rule.id in file_suppressed:
                 continue
             if not rule.applies_to(ctx.module):
@@ -322,72 +324,58 @@ class Analyzer:
                 findings.append(finding)
         return findings
 
-    def analyze_file(self, file_path: str) -> List[Finding]:
-        with open(file_path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        return self.analyze_source(
-            source, path=self._display_path(file_path),
-            module=self._module_name(file_path))
-
-    def analyze_paths(self, paths: Iterable[str]) -> Report:
-        """Analyze files/trees; returns a fingerprinted, sorted report.
-
-        Runs the per-function rules file by file, then the
-        interprocedural pack over the project assembled from the same
-        files.
-        """
-        files: List[str] = []
-        for path in paths:
-            files.extend(self._iter_python_files(path))
-        files = sorted(set(files))
-        findings: List[Finding] = []
-        analyzed: List[str] = []
-        for file_path in files:
-            analyzed.append(self._display_path(file_path))
-            findings.extend(self.analyze_file(file_path))
-        if self.project_rules:
-            from repro.analysis.dataflow import Dataflow
-            project = self.build_project(files)
-            flow = Dataflow(project)
-            for rule in self.project_rules:
-                findings.extend(rule.check(project, flow))
-        report = Report(findings=fingerprinted(findings), analyzed=analyzed)
-        report.findings = sort_findings(report.findings)
-        return report
-
-    def build_project(self, paths: Iterable[str]) -> "Project":
-        """Assemble the whole-program view (symbol tables + call graph)
-        for the given files/trees, consulting the facts cache when
-        ``cache_dir`` is set.  Facts are re-extracted whenever the
+    def analyze_file(self, file_path: str
+                     ) -> Tuple[List[Finding], "ModuleFacts"]:
+        """One file's per-file findings (as :meth:`analyze_source`) and
+        its :class:`~repro.analysis.symbols.ModuleFacts`, from one read,
+        one parse and one context.  Facts come from the cache unless the
         source hash *or* the display path changed, so cache entries
         never leak stale paths into findings."""
+        from repro.analysis.summaries import source_digest
+        from repro.analysis.symbols import extract_module
+        with open(file_path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        ctx = self._context(source, self._display_path(file_path),
+                            self._module_name(file_path))
+        findings = self._check(ctx)
+        digest = source_digest(source)
+        facts = self.cache.load(ctx.module, digest, ctx.path)
+        if facts is None or facts.path != ctx.path:
+            facts = extract_module(ctx)
+            self.cache.store(ctx.module, digest, facts)
+        return findings, facts
+
+    def build_project(self, paths: Iterable[str]) -> "Project":
+        """Analyze every file under ``paths`` once, in sorted path
+        order, and assemble the whole-program view (symbol tables +
+        call graph) with the per-file findings and analyzed paths.
+        Every file is parsed once for the per-file rules; the facts
+        cache saves only fact extraction."""
         from repro.analysis.callgraph import Project
-        from repro.analysis.summaries import FactsCache, source_digest
-        from repro.analysis.symbols import ModuleFacts, extract_module
-        files: List[str] = []
+        files: Set[str] = set()
         for path in paths:
-            files.extend(self._iter_python_files(path))
-        # Kept on the analyzer so callers can observe hit/miss counts
-        # (the cache-equivalence CI check asserts warm runs never parse).
-        cache = self.cache = FactsCache(self.cache_dir)
-        modules: Dict[str, ModuleFacts] = {}
-        for file_path in sorted(set(files)):
-            with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            module = self._module_name(file_path)
-            display = self._display_path(file_path)
-            digest = source_digest(source)
-            facts = cache.load(module, digest, display)
-            if facts is None or facts.path != display:
-                try:
-                    tree = ast.parse(source, filename=display)
-                except SyntaxError:
-                    continue
-                ctx = LintContext(path=display, module=module,
-                                  source=source, tree=tree)
-                facts = extract_module(ctx)
-                cache.store(module, digest, facts)
+            files.update(self._iter_python_files(path))
+        findings: List[Finding] = []
+        analyzed: List[str] = []
+        modules: Dict[str, "ModuleFacts"] = {}
+        for file_path in sorted(files):
+            file_findings, facts = self.analyze_file(file_path)
+            findings.extend(file_findings)
+            analyzed.append(facts.path)
             # Module-name collisions (two loose fixture files sharing a
             # stem): first in sorted path order wins, deterministically.
             modules.setdefault(facts.module, facts)
-        return Project(modules)
+        return Project(modules, findings=findings, analyzed=analyzed)
+
+    def analyze_paths(self, paths: Iterable[str]) -> Report:
+        """Analyze files/trees; returns a fingerprinted, sorted report
+        of the per-file findings plus the interprocedural pack's."""
+        from repro.analysis.dataflow import Dataflow
+        from repro.analysis.iprules import PROJECT_RULES
+        project = self.build_project(paths)
+        flow = Dataflow(project)
+        findings = list(project.findings)
+        for rule in PROJECT_RULES:
+            findings.extend(rule.check(project, flow))
+        return Report(findings=sort_findings(fingerprinted(findings)),
+                      analyzed=project.analyzed)

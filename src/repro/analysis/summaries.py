@@ -213,8 +213,9 @@ class FactsCache:
     One JSON file per module under ``directory``; an entry is valid only
     when both the schema version and the source sha256 match, so edits
     and analyzer upgrades invalidate transparently.  The cache holds the
-    *parse products* only — cross-module resolution and dataflow rerun
-    every invocation, which is what keeps cold and warm runs
+    extracted facts only — every file is still parsed for the per-file
+    rules, and cross-module resolution and dataflow rerun every
+    invocation, which is what keeps cold and warm runs
     byte-identical (tested in ``tests/test_analysis_project.py``).
     """
 

@@ -70,15 +70,8 @@ def _speedup(stationary: RunMetrics, mobile: RunMetrics) -> float:
 # -- E1: the Section-5 headline experiment -----------------------------------------
 
 
-def run_e1(seed: int = 2000, telemetry: bool = False) -> ExperimentReport:
-    """917 pages / 3 MB on a 100 Mbit LAN: mobile vs stationary Webbot.
-
-    With ``telemetry=True`` each mode runs under an enabled
-    :class:`~repro.obs.telemetry.Telemetry` and the report's extras gain
-    a per-mode metrics snapshot (``extras["telemetry"][mode]``).
-    """
-    from repro.obs.telemetry import Telemetry
-
+def run_e1(seed: int = 2000) -> ExperimentReport:
+    """917 pages / 3 MB on a 100 Mbit LAN: mobile vs stationary Webbot."""
     report = ExperimentReport(
         "E1", "Section 5: local (mobile) vs remote (stationary) Webbot "
         "scan of 917 pages / 3 MB over 100 Mbit")
@@ -86,11 +79,8 @@ def run_e1(seed: int = 2000, telemetry: bool = False) -> ExperimentReport:
                       "pages", "dead_links"]
 
     ratios: Dict[str, float] = {}
-    snapshots: Dict[str, dict] = {}
     for mode, check_rejected in (("full-task", True), ("scan-only", False)):
-        hub = Telemetry(enabled=True) if telemetry else None
-        testbed = build_linkcheck_testbed(spec=paper_site_spec(seed=seed),
-                                          telemetry=hub)
+        testbed = build_linkcheck_testbed(spec=paper_site_spec(seed=seed))
         task = _task_for(testbed, "www.cs.uit.no",
                          check_rejected=check_rejected)
         stationary = run_stationary(testbed, [task])
@@ -100,16 +90,12 @@ def run_e1(seed: int = 2000, telemetry: bool = False) -> ExperimentReport:
                            metrics.remote_bytes, metrics.pages_scanned,
                            metrics.dead_links_found)
         ratios[mode] = _speedup(stationary, mobile)
-        if hub is not None:
-            snapshots[mode] = hub.snapshot()
         if stationary.dead_links_found != mobile.dead_links_found:
             report.add_claim(
                 "both deployments find the same dead links",
                 f"stationary={stationary.dead_links_found} "
                 f"mobile={mobile.dead_links_found}", False)
 
-    if snapshots:
-        report.extras["telemetry"] = snapshots
     full = ratios["full-task"]
     report.extras["ratio_full_task"] = full
     report.extras["ratio_scan_only"] = ratios["scan-only"]

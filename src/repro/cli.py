@@ -9,9 +9,6 @@ Commands:
 - ``site`` — generate a synthetic site and print its statistics;
 - ``trace`` — run the traced quickstart itinerary and export the span
   trace as Chrome ``trace_event`` JSON (Perfetto-loadable) or JSONL;
-- ``bench`` — run experiment E1 under telemetry and write a
-  machine-readable report (virtual-time rows + metrics snapshot +
-  wall-clock) to a JSON file;
 - ``suite`` — the declarative experiment-suite runner
   (``repro.suites``).  ``suite run FILE`` executes a YAML/JSON-declared
   parameter matrix over the registered scenario plugins (chaos,
@@ -190,30 +187,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    from repro.bench.experiments import run_e1
-    from repro.bench.runner import report_to_dict
-
-    wall_start = time.perf_counter()
-    report = run_e1(seed=args.seed, telemetry=True)
-    wall = time.perf_counter() - wall_start
-    print(report.render())
-    document = report_to_dict(report)
-    document["wall_seconds"] = wall
-    if args.json_path:
-        try:
-            with open(args.json_path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            return 1
-        print(f"\nwrote report ({wall:.1f}s wall) to {args.json_path}")
-    return 0
-
-
 def _print_name_table(names, descriptions) -> None:
     width = max(len(name) for name in names)
     for name in names:
@@ -298,7 +271,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
         try:
             project = analyzer.build_project(paths)
-        except OSError as exc:
+        except (OSError, SyntaxError) as exc:
             print(f"lint: cannot analyze: {exc}", file=sys.stderr)
             return 2
         flow = Dataflow(project)
@@ -476,13 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--out", default=None, metavar="METRICS.txt",
                          help="also write the OpenMetrics text here")
 
-    bench = sub.add_parser(
-        "bench", help="run E1 under telemetry; write a JSON report")
-    bench.add_argument("--seed", type=int, default=2000)
-    bench.add_argument("--json", dest="json_path", default=None,
-                       metavar="BENCH_E1.json",
-                       help="write the machine-readable report here")
-
     run = sub.add_parser(
         "run",
         help="run one suite cell standalone; print its document")
@@ -573,8 +539,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_report(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "suite":

@@ -103,3 +103,16 @@ def test_syntax_error_exits_2(tmp_path, capsys):
     bad.write_text("def broken(:\n")
     code, _out = run_lint(capsys, str(bad))
     assert code == 2
+
+
+def test_unparsable_file_stops_findings_and_graph_alike(tmp_path, capsys):
+    """A tree holding one file that does not parse exits 2 under both
+    ``lint`` and ``lint --graph``: the graph never silently drops it."""
+    (tmp_path / "good.py").write_text("def fine():\n    return 1\n")
+    (tmp_path / "broken.py").write_text("def broken(:\n")
+    for argv in ([], ["--graph", "json"], ["--graph", "dot"]):
+        code = main(["lint", str(tmp_path), *argv])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert "lint: cannot analyze" in captured.err
+        assert captured.out == ""

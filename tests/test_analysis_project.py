@@ -11,6 +11,7 @@ cold/warm cache equivalence, witness-independent fingerprints, and the
 decorated-``def`` suppression span.
 """
 
+import ast
 import json
 import os
 import shutil
@@ -149,6 +150,24 @@ def test_cold_and_warm_cache_are_byte_identical(tmp_path):
     assert cold == warm == uncached
     assert warm_analyzer.cache.hits > 0
     assert warm_analyzer.cache.misses == 0
+
+
+def test_each_file_is_parsed_once(monkeypatch):
+    """One ``analyze_paths`` run reads, parses and prepares every file
+    once: the per-file rules and fact extraction share one tree."""
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        if str(filename).endswith(".py"):
+            parsed.append(os.path.abspath(filename))
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    report = Analyzer().analyze_paths([IPA])
+    assert len(report.analyzed) > 1
+    assert sorted(parsed) == sorted(
+        os.path.abspath(path) for path in report.analyzed)
 
 
 def test_cache_invalidates_on_source_change(tmp_path):
